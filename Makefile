@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-json gate serve soak scaleout clean
+.PHONY: all build vet test race perfbench-check bench bench-json gate serve soak scaleout clean
 
 all: vet build test
 
@@ -15,6 +15,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# perfbench/ is a nested module, so ./... above never compiles it: vet and
+# test it on its own so an API change cannot silently break the benchmark.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Quick textual benchmark pass over the perf-critical families.
 bench:

@@ -374,10 +374,11 @@ func BenchmarkAblationBruteForceWall(b *testing.B) {
 // serial vs the bounded summary worker pool vs the warm LRU cache.
 func BenchmarkEndToEndSearch(b *testing.B) {
 	e := getEnv(b)
-	run := func(b *testing.B, opts sizelos.SearchOptions) {
+	run := func(b *testing.B, parallel int) {
 		b.Helper()
+		req := sizelos.QueryRequest{Rel: "Author", Query: "Faloutsos", L: 15, Parallel: parallel}
 		for i := 0; i < b.N; i++ {
-			res, err := e.dblp.Search("Author", "Faloutsos", 15, opts)
+			res, _, _, err := e.dblp.QueryPage(req)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -387,15 +388,15 @@ func BenchmarkEndToEndSearch(b *testing.B) {
 		}
 	}
 	b.Run("serial", func(b *testing.B) {
-		run(b, sizelos.SearchOptions{Parallel: 1})
+		run(b, 1)
 	})
 	b.Run("parallel", func(b *testing.B) {
-		run(b, sizelos.SearchOptions{})
+		run(b, 0)
 	})
 	b.Run("cached", func(b *testing.B) {
 		e.dblp.EnableSummaryCache(256)
 		defer e.dblp.EnableSummaryCache(0)
-		run(b, sizelos.SearchOptions{})
+		run(b, 0)
 		if st, ok := e.dblp.SummaryCacheStats(); ok {
 			b.ReportMetric(100*st.HitRate(), "cache_hit_pct")
 		}
@@ -403,14 +404,15 @@ func BenchmarkEndToEndSearch(b *testing.B) {
 }
 
 // BenchmarkIndexBuild times keyword-index construction over the DBLP
-// corpus: the serial flat layout vs the sharded parallel build at fixed and
-// CPU-sized shard counts. The bench-gate CI job watches this family; the
-// GOMAXPROCS=4 leg asserts sharded4 is >= 1.5x faster than flat.
+// corpus: the serial flat layout (one shard, one tokenizer worker) vs the
+// sharded parallel build at fixed and CPU-sized shard counts. The
+// bench-gate CI job watches this family; the GOMAXPROCS=4 leg asserts
+// sharded4 is >= 1.5x faster than flat.
 func BenchmarkIndexBuild(b *testing.B) {
 	db := getEnv(b).dblp.DB()
 	b.Run("flat", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			keyword.BuildIndex(db)
+			keyword.BuildSharded(db, keyword.ShardedOptions{NumShards: 1, Workers: 1})
 		}
 	})
 	b.Run("sharded4", func(b *testing.B) {
@@ -722,79 +724,6 @@ func BenchmarkRerankResidual(b *testing.B) {
 	}
 	b.Run("residual", stream(true))
 	b.Run("warm-full", stream(false))
-}
-
-// BenchmarkRerankResidualParallel measures the owner-tiled parallel
-// residual push (PR 9) against the serial schedule over a batch stream
-// wide enough to actually engage the tiling: single-tuple streams stay
-// below the serial-frontier cutover by design, so this family drives
-// ~150-citation batches whose frontiers force multi-region rounds. The
-// two variants are the same float program — bit-identical scores, equal
-// updates/op (reported) — so the gated ns/op difference is pure
-// scheduling: overhead on a 1-core box, speedup on the 4-core CI runner
-// (TestResidualPushSpeedupMulticore asserts the >=2x bar).
-func BenchmarkRerankResidualParallel(b *testing.B) {
-	const batchSize = 150
-	run := func(workers int) func(b *testing.B) {
-		return func(b *testing.B) {
-			db, next := mutateBenchDB(b)
-			settings := []sizelos.Setting{
-				{Name: "GA1-d1", GA: datagen.DBLPGA1(), Damping: 0.85},
-			}
-			eng, err := sizelos.NewEngine(db, settings)
-			if err != nil {
-				b.Fatal(err)
-			}
-			eng.SetResidualRerank(true)
-			eng.SetResidualWorkers(workers)
-			paper := db.Relation("Paper")
-			var prev []int64
-			updates := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				batch := sizelos.MutationBatch{Rerank: true}
-				for _, pk := range prev {
-					batch.Deletes = append(batch.Deletes, sizelos.TupleDelete{Rel: "Cites", PK: pk})
-				}
-				prev = prev[:0]
-				for j := 0; j < batchSize; j++ {
-					*next++
-					k := i*batchSize + j
-					batch.Inserts = append(batch.Inserts, sizelos.TupleInsert{
-						Rel: "Cites",
-						Tuple: relational.Tuple{
-							relational.IntVal(*next),
-							relational.IntVal(paper.PK(relational.TupleID(k % 1200))),
-							relational.IntVal(paper.PK(relational.TupleID((k*7 + 13) % 1200))),
-						},
-					})
-					prev = append(prev, *next)
-				}
-				res, err := eng.Mutate(batch)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, st := range res.RerankStats {
-					if st.FallbackTaken {
-						b.Fatalf("batch %d fell back to the full iteration — the family no longer measures the push", i)
-					}
-					if !st.Residual {
-						// The engine's scheduled re-grounding (every
-						// residualRefreshInterval-th re-rank); both variants
-						// pay it identically, so it can't skew the gate.
-						continue
-					}
-					if st.Regions != workers {
-						b.Fatalf("batch %d ran %d regions at %d workers — tiling did not engage", i, st.Regions, workers)
-					}
-					updates += st.Updates
-				}
-			}
-			b.ReportMetric(float64(updates)/float64(b.N), "updates/op")
-		}
-	}
-	b.Run("workers-1", run(1))
-	b.Run("workers-4", run(4))
 }
 
 // durableBenchEngine opens a small DBLP engine attached to a WAL in a

@@ -23,11 +23,8 @@ import (
 	"fmt"
 
 	"sizelos/internal/datagen"
-	"sizelos/internal/datagraph"
-	"sizelos/internal/keyword"
 	"sizelos/internal/rank"
 	"sizelos/internal/relational"
-	"sizelos/internal/schemagraph"
 )
 
 // MutationLog is the durability hook Engine.Mutate appends to: a redo log
@@ -181,69 +178,45 @@ func NewEngineFromState(settings []Setting, st *EngineState) (*Engine, error) {
 // table positionally aligned with db's physical slots (tombstones
 // included); the vectors are deep-copied. The engine starts with
 // residual-push re-ranking armed off (first re-rank runs the warm full
-// iteration, which re-arms it), exactly like an engine that just compacted.
+// iteration, which re-arms it), exactly like an engine that just compacted;
+// every other knob is NewEngine's.
 func NewEngineRanked(db *relational.DB, settings []Setting, raw map[string]relational.DBScores) (*Engine, error) {
-	if len(settings) == 0 {
-		return nil, fmt.Errorf("sizelos: at least one ranking setting required")
+	if raw == nil {
+		return nil, fmt.Errorf("sizelos: restore: no raw scores")
 	}
-	g, err := datagraph.Build(db)
-	if err != nil {
-		return nil, fmt.Errorf("sizelos: build data graph: %w", err)
-	}
-	e := &Engine{
-		db:              db,
-		graph:           g,
-		index:           keyword.BuildSharded(db, keyword.ShardedOptions{}),
-		settings:        append([]Setting(nil), settings...),
-		gds:             make(map[string]map[string]*schemagraph.GDS),
-		baseGDS:         make(map[string]*schemagraph.GDS),
-		epochs:          make(map[string]uint64, len(db.Relations)),
-		deps:            make(map[string][]string),
-		coldIters:       make(map[string]int, len(settings)),
-		compactMin:      DefaultCompactMinTombstones,
-		compactRatio:    DefaultCompactRatio,
-		pending:         make(map[*rank.GA]*rank.Pending),
-		residualEnabled: true,
-		annMax:          make(map[string]map[string]map[string]float64),
-	}
-	for _, r := range db.Relations {
-		e.epochs[r.Name] = 0
-	}
-	plans, err := compilePlans(g, e.settings)
-	if err != nil {
-		return nil, err
-	}
-	e.plans = plans
+	return newEngine(db, settings, raw)
+}
+
+// restoreScores validates that raw holds, for every setting, vectors
+// aligned with db's physical slots and returns the served tables NewEngine
+// would compute: deep copies of raw, their normalized copies and the
+// per-relation maxima.
+func restoreScores(db *relational.DB, settings []Setting, raw map[string]relational.DBScores) (norm, rawCopy map[string]relational.DBScores, relMax map[string]map[string]float64, err error) {
 	normMax := rank.DefaultOptions().NormalizeMax
-	e.scores = make(map[string]relational.DBScores, len(settings))
-	e.rawScores = make(map[string]relational.DBScores, len(settings))
-	e.relMax = make(map[string]map[string]float64, len(settings))
+	norm = make(map[string]relational.DBScores, len(settings))
+	rawCopy = make(map[string]relational.DBScores, len(settings))
+	relMax = make(map[string]map[string]float64, len(settings))
 	for _, s := range settings {
 		sc, ok := raw[s.Name]
 		if !ok {
-			return nil, fmt.Errorf("sizelos: restore: no raw scores for setting %s", s.Name)
+			return nil, nil, nil, fmt.Errorf("sizelos: restore: no raw scores for setting %s", s.Name)
 		}
 		cp := make(relational.DBScores, len(sc))
 		for rel, v := range sc {
 			r := db.Relation(rel)
 			if r == nil {
-				return nil, fmt.Errorf("sizelos: restore: scores for unknown relation %s", rel)
+				return nil, nil, nil, fmt.Errorf("sizelos: restore: scores for unknown relation %s", rel)
 			}
 			if len(v) != r.Len() {
-				return nil, fmt.Errorf("sizelos: restore: setting %s relation %s has %d scores for %d slots",
+				return nil, nil, nil, fmt.Errorf("sizelos: restore: setting %s relation %s has %d scores for %d slots",
 					s.Name, rel, len(v), r.Len())
 			}
 			cp[rel] = append(relational.Scores(nil), v...)
 		}
-		e.rawScores[s.Name] = cp
-		e.scores[s.Name], e.relMax[s.Name] = normalizeCopy(cp, normMax)
+		rawCopy[s.Name] = cp
+		norm[s.Name], relMax[s.Name] = normalizeCopy(cp, normMax)
 	}
-	// No residual deltas describe the gap between these vectors and future
-	// mutations' (there is no gap yet, but the pending bookkeeping starts
-	// empty and unarmed exactly like after a compaction): the first re-rank
-	// runs the warm full iteration and re-arms the residual path.
-	e.residualOK = false
-	return e, nil
+	return norm, rawCopy, relMax, nil
 }
 
 // RestoreDBLP reconstructs a DBLP-schema engine from an exported snapshot,

@@ -109,7 +109,7 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if _, err := restored.Search("Author", "synthetic", 3, SearchOptions{}); err != nil {
+	if _, _, _, err := restored.QueryPage(QueryRequest{Rel: "Author", Query: "synthetic", L: 3}); err != nil {
 		t.Fatalf("restored engine search: %v", err)
 	}
 

@@ -21,8 +21,7 @@
 //	}
 //
 // Query streams: summaries are computed only for the prefix the caller
-// consumes. The historical Search/RankedSearch entry points remain as
-// eager wrappers over the same pipeline.
+// consumes; QueryPage drains one page under a single read lock.
 package sizelos
 
 import (
@@ -100,11 +99,8 @@ type Engine struct {
 	mu    sync.RWMutex
 	db    *relational.DB
 	graph *datagraph.Graph
-	// index is held through the Searcher interface so the storage layout
-	// (flat, sharded, or a future remote index) is swappable; NewEngine
-	// installs the sharded layout. Mutation support additionally requires
-	// the layout to implement keyword.Maintainer.
-	index keyword.Searcher
+	// index is the keyword index, maintained in place by Mutate.
+	index *keyword.Sharded
 	// settings are the ranking configurations NewEngine computed, retained
 	// so Mutate can re-run them on demand (MutationBatch.Rerank).
 	settings []Setting
@@ -124,19 +120,20 @@ type Engine struct {
 	// warm full iteration and re-arms it.
 	residualOK bool
 	// residualEnabled gates residual-push re-ranking (SetResidualRerank);
-	// when off, every re-rank takes the PR-4 warm full iteration.
+	// when off, every re-rank takes the warm full iteration.
 	residualEnabled bool
-	// residualBudget overrides rank.Options.ResidualBudget when positive
-	// (SetResidualBudget): the push count past which a residual re-rank
-	// abandons the localized path and falls back to the full iteration.
+	// residualBudget overrides rank.Options.ResidualBudget when positive:
+	// the push count past which a residual re-rank abandons the localized
+	// path. 0, the production value, keeps the rank default (4× the node
+	// count); tests lower it to reach the fallback boundary.
 	residualBudget int
-	// residualWorkers pins the residual push's owner-tile worker count
-	// (SetResidualWorkers): 0 sizes by GOMAXPROCS, 1 forces serial. Purely
-	// a throughput knob — every count produces bit-identical scores.
+	// residualWorkers pins the residual push's owner-tile worker count: 0,
+	// the production value, sizes by GOMAXPROCS; 1 forces serial. Purely a
+	// throughput knob — every count produces bit-identical scores.
 	residualWorkers int
-	// residualAccel gates the high-damping accelerated repair
-	// (SetResidualAccel, on by default): when off, slow global modes trip
-	// the push budget and fall back to the warm full iteration as in PR 5.
+	// residualAccel gates the high-damping accelerated repair (on in
+	// production): when off, slow global modes trip the push budget and
+	// fall back to the warm full iteration.
 	residualAccel bool
 	// residualRuns counts consecutive residual re-ranks; every
 	// residualRefreshInterval-th re-rank runs the full iteration instead,
@@ -164,8 +161,9 @@ type Engine struct {
 	coldIters map[string]int
 	// compactMin and compactRatio are the auto-compaction trigger: a
 	// relation is physically compacted when it carries at least compactMin
-	// tombstones AND they exceed compactRatio of its slots. compactMin <= 0
-	// disables the automatic trigger (CompactNow still works).
+	// tombstones AND they exceed compactRatio of its slots. Production uses
+	// the Default* values; compactMin <= 0 disables the automatic trigger
+	// (CompactNow still works).
 	compactMin   int
 	compactRatio float64
 	// gds[dsRel][setting] is the annotated G_DS clone for that setting.
@@ -200,6 +198,17 @@ type Engine struct {
 // dampings share one compilation) and the independent settings' power
 // iterations run concurrently.
 func NewEngine(db *relational.DB, settings []Setting) (*Engine, error) {
+	return newEngine(db, settings, nil)
+}
+
+// newEngine is the one initializer of Engine's fields; NewEngine and
+// NewEngineRanked both go through it, so every construction path serves
+// with the same knobs. raw == nil runs the cold-start power iterations and
+// arms residual re-ranking; otherwise the served scores are copies of raw
+// (see restoreScores) and the first re-rank runs the warm full iteration —
+// no residual deltas describe how raw was reached — which re-arms the
+// residual path, exactly as after a compaction.
+func newEngine(db *relational.DB, settings []Setting, raw map[string]relational.DBScores) (*Engine, error) {
 	if len(settings) == 0 {
 		return nil, fmt.Errorf("sizelos: at least one ranking setting required")
 	}
@@ -207,43 +216,54 @@ func NewEngine(db *relational.DB, settings []Setting) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sizelos: build data graph: %w", err)
 	}
-	e := &Engine{
+	settings = append([]Setting(nil), settings...)
+	plans, err := compilePlans(g, settings)
+	if err != nil {
+		return nil, err
+	}
+	var (
+		scores, rawScores map[string]relational.DBScores
+		relMax            map[string]map[string]float64
+		coldIters         = make(map[string]int, len(settings))
+	)
+	if raw == nil {
+		var stats map[string]rank.Stats
+		scores, rawScores, relMax, stats, err = computeScores(plans, settings, nil)
+		for name, st := range stats {
+			coldIters[name] = st.Iterations
+		}
+	} else {
+		scores, rawScores, relMax, err = restoreScores(db, settings, raw)
+	}
+	if err != nil {
+		return nil, err
+	}
+	epochs := make(map[string]uint64, len(db.Relations))
+	for _, r := range db.Relations {
+		epochs[r.Name] = 0
+	}
+	return &Engine{
 		db:              db,
 		graph:           g,
 		index:           keyword.BuildSharded(db, keyword.ShardedOptions{}),
-		settings:        append([]Setting(nil), settings...),
-		gds:             make(map[string]map[string]*schemagraph.GDS),
-		baseGDS:         make(map[string]*schemagraph.GDS),
-		epochs:          make(map[string]uint64, len(db.Relations)),
-		deps:            make(map[string][]string),
-		coldIters:       make(map[string]int, len(settings)),
-		compactMin:      DefaultCompactMinTombstones,
-		compactRatio:    DefaultCompactRatio,
+		settings:        settings,
+		plans:           plans,
 		pending:         make(map[*rank.GA]*rank.Pending),
+		residualOK:      raw == nil,
 		residualEnabled: true,
 		residualAccel:   true,
+		scores:          scores,
+		rawScores:       rawScores,
+		relMax:          relMax,
 		annMax:          make(map[string]map[string]map[string]float64),
-	}
-	for _, r := range db.Relations {
-		e.epochs[r.Name] = 0
-	}
-	plans, err := compilePlans(g, e.settings)
-	if err != nil {
-		return nil, err
-	}
-	e.plans = plans
-	scores, raw, relMax, stats, err := computeScores(e.plans, e.settings, nil)
-	if err != nil {
-		return nil, err
-	}
-	e.scores = scores
-	e.rawScores = raw
-	e.relMax = relMax
-	e.residualOK = true
-	for name, st := range stats {
-		e.coldIters[name] = st.Iterations
-	}
-	return e, nil
+		coldIters:       coldIters,
+		compactMin:      DefaultCompactMinTombstones,
+		compactRatio:    DefaultCompactRatio,
+		gds:             make(map[string]map[string]*schemagraph.GDS),
+		baseGDS:         make(map[string]*schemagraph.GDS),
+		epochs:          epochs,
+		deps:            make(map[string][]string),
+	}, nil
 }
 
 // compilePlans compiles each distinct G_A of the settings exactly once
@@ -266,49 +286,15 @@ func compilePlans(g *datagraph.Graph, settings []Setting) (map[*rank.GA]*rank.Pl
 // SetResidualRerank toggles residual-push re-ranking (on by default): when
 // off, every MutationBatch.Rerank runs the warm-started full power
 // iteration instead of the localized Gauss–Southwell repair. Both modes
-// satisfy the same fixed-point tolerance contract; the switch exists for
-// operational comparison and as an escape hatch.
+// satisfy the same fixed-point tolerance contract. The switch exists for
+// reference runs that must not depend on residual history: a restored
+// engine carries no residual deltas, so a crash-restart proof turns it off
+// on both sides to compare a recovered engine with its survivor bit for
+// bit.
 func (e *Engine) SetResidualRerank(on bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.residualEnabled = on
-}
-
-// SetResidualBudget overrides the residual re-rank push budget — the
-// boundary past which the localized repair falls back to the warm full
-// iteration. pushes <= 0 restores the rank package default (4× the node
-// count). Lowering it trades residual coverage for a tighter worst-case
-// bound on wasted pushes before a fallback.
-func (e *Engine) SetResidualBudget(pushes int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.residualBudget = pushes
-}
-
-// SetResidualWorkers pins the worker count of the parallel residual push —
-// the owner-tile regions a re-rank's frontier is partitioned into. 0 (the
-// default) sizes by GOMAXPROCS; 1 forces the serial schedule. The knob is
-// purely about throughput: the push's reduction order is fixed, so every
-// worker count produces bit-for-bit identical scores (the equivalence
-// harness pins this at 1, 2, 4 and 7 workers).
-func (e *Engine) SetResidualWorkers(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.residualWorkers = n
-}
-
-// SetResidualAccel toggles the accelerated high-damping rescue (on by
-// default): at damping ≥ 0.95 a residual re-rank whose push trips its
-// budget — slow global modes decay only geometrically per push round — is
-// finished by deflation of the dominant mode plus Chebyshev semi-iteration
-// instead of falling back, completing localized re-ranks that previously
-// abandoned to the full iteration. When off, high dampings budget-trip and
-// fall back exactly as before the acceleration existed. Both paths satisfy
-// the same fixed-point tolerance contract.
-func (e *Engine) SetResidualAccel(on bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.residualAccel = on
 }
 
 // DefaultCompactMinTombstones and DefaultCompactRatio are the engine's
@@ -317,24 +303,11 @@ func (e *Engine) SetResidualAccel(on bool) {
 // vectors, the data graph rebuilt — once it carries at least
 // DefaultCompactMinTombstones tombstones and they exceed
 // DefaultCompactRatio of its slots. Below that, tombstones are cheaper than
-// the remap. SetCompactionPolicy overrides both.
+// the remap.
 const (
 	DefaultCompactMinTombstones = 256
 	DefaultCompactRatio         = 0.5
 )
-
-// SetCompactionPolicy overrides the auto-compaction trigger: a relation
-// compacts when it holds at least minTombstones tombstones and they exceed
-// ratio of its physical slots. minTombstones <= 0 disables the automatic
-// trigger; ratio <= 0 keeps the current ratio.
-func (e *Engine) SetCompactionPolicy(minTombstones int, ratio float64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.compactMin = minTombstones
-	if ratio > 0 {
-		e.compactRatio = ratio
-	}
-}
 
 // computeScores runs every setting's power iteration concurrently over the
 // precompiled plans, returning the normalized score table served to
@@ -560,19 +533,12 @@ func gdsDeps(gds *schemagraph.GDS) []string {
 // epochs consistent.
 func (e *Engine) DB() *relational.DB { return e.db }
 
-// Index exposes the keyword index the engine queries.
-func (e *Engine) Index() keyword.Searcher {
+// Index exposes the keyword index the engine queries. Mutate maintains it
+// in place, so don't read it concurrently with mutations.
+func (e *Engine) Index() *keyword.Sharded {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.index
-}
-
-// SetIndex swaps the keyword index, e.g. for a different shard count or a
-// flat reference layout. The index must cover the engine's database.
-func (e *Engine) SetIndex(idx keyword.Searcher) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.index = idx
 }
 
 // Graph exposes the tuple data graph. Mutate splices each batch into this
@@ -638,33 +604,25 @@ func (e *Engine) gdsLocked(dsRel, setting string) (*schemagraph.GDS, error) {
 	return g, nil
 }
 
-// SearchOptions tunes Search and SizeL.
+// SearchOptions tunes SizeL; Query lowers its QueryRequest onto it.
 type SearchOptions struct {
 	// Setting selects the ranking configuration (default DefaultSetting).
 	Setting string
 	// Algorithm selects the size-l method (default AlgoTopPath, the
 	// paper's quality recommendation).
 	Algorithm Algorithm
-	// UseComplete computes from the complete OS instead of the prelim-l OS.
+	// Complete computes from the complete OS instead of the prelim-l OS.
 	// The paper recommends prelim-l ("constantly a better choice", §6.3),
 	// so the default is prelim.
-	//
-	// Deprecated: use QueryRequest.Complete with Engine.Query.
-	UseComplete bool
+	Complete bool
 	// FromDatabase extracts tuples with database joins instead of the
 	// in-memory data graph (Fig. 10f compares the two).
 	FromDatabase bool
-	// TopK caps how many DS matches are summarized (0 = all).
-	//
-	// Deprecated: use QueryRequest.Limit with Engine.Query, which
-	// additionally skips-and-backfills tombstoned matches inside the
-	// window and supports cursor resumption past it.
-	TopK int
 	// ShowWeights annotates rendered summaries with local importance.
 	ShowWeights bool
-	// Parallel bounds the worker pool summarizing the keyword matches of
-	// one Search/RankedSearch call: 0 sizes it by GOMAXPROCS, 1 forces
-	// serial. Output order and content are identical at every setting.
+	// Parallel bounds the worker pool summarizing one batch of a query's
+	// keyword matches: 0 sizes it by GOMAXPROCS, 1 forces serial. Output
+	// order and content are identical at every setting.
 	Parallel int
 	// Pool, when non-nil, additionally bounds this call's summary work by a
 	// concurrency budget shared with other callers — the multi-tenant
@@ -700,37 +658,6 @@ type Summary struct {
 	Tree *ostree.Tree
 	// Text is the rendered size-l OS in the style of Example 5.
 	Text string
-}
-
-// Search runs a keyword query against the DS relation and returns one
-// size-l OS per matching data subject, ranked by DS global importance: the
-// paper's end-to-end paradigm (Q1 "Faloutsos", l=15 → Example 5). Matches
-// are summarized concurrently (see SearchOptions.Parallel); the result
-// order — descending DS global importance, as produced by the keyword
-// index — is deterministic regardless of the pool size.
-//
-// Search drains an Engine.Query stream eagerly; prefer Query for new code —
-// it serves the same results lazily, adds Limit/Cursor paging, and unifies
-// this entry point with RankedSearch (QueryRequest.RankBySummary).
-func (e *Engine) Search(dsRel, query string, l int, opts SearchOptions) ([]Summary, error) {
-	opts.fill()
-	// The read lock spans match lookup and summarization: a mutation
-	// serializes before or after the whole query, so the summaries always
-	// describe one consistent database state.
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	r, err := e.queryLocked(QueryRequest{
-		Rel: dsRel, Query: query, L: l,
-		Setting: opts.Setting, Algorithm: opts.Algorithm,
-		Limit:    opts.TopK,
-		Complete: opts.UseComplete, FromDatabase: opts.FromDatabase,
-		ShowWeights: opts.ShowWeights,
-		Parallel:    opts.Parallel, Pool: opts.Pool, CacheScope: opts.CacheScope,
-	}, true)
-	if err != nil {
-		return nil, err
-	}
-	return r.Drain()
 }
 
 // summarizeSliceLocked computes one size-l summary per keyword match across
@@ -796,7 +723,7 @@ type summaryKey struct {
 	L            int
 	Setting      string
 	Algorithm    Algorithm
-	UseComplete  bool
+	Complete     bool
 	FromDatabase bool
 	ShowWeights  bool
 	// Epoch is the summed mutation epoch of every relation the DS
@@ -812,7 +739,7 @@ func (e *Engine) summaryKeyFor(dsRel string, tuple relational.TupleID, l int, op
 		Scope: opts.CacheScope,
 		DSRel: dsRel, Tuple: tuple, L: l,
 		Setting: opts.Setting, Algorithm: opts.Algorithm,
-		UseComplete: opts.UseComplete, FromDatabase: opts.FromDatabase,
+		Complete: opts.Complete, FromDatabase: opts.FromDatabase,
 		ShowWeights: opts.ShowWeights,
 		Epoch:       e.epochForLocked(dsRel),
 	}
@@ -923,7 +850,7 @@ func (e *Engine) computeSummary(dsRel string, tuple relational.TupleID, l int, o
 	}
 
 	var tree *ostree.Tree
-	if opts.UseComplete {
+	if opts.Complete {
 		tree, err = ostree.Generate(src, gds, tuple, ostree.GenOptions{MaxDepth: l - 1})
 	} else {
 		tree, _, err = sizel.PrelimL(src, gds, tuple, l, sizel.PrelimOptions{MaxDepth: l - 1})
@@ -960,37 +887,6 @@ func (e *Engine) computeSummary(dsRel string, tuple relational.TupleID, l int, o
 		cache.Put(key, sum)
 	}
 	return sum, nil
-}
-
-// RankedSearch implements the combined size-l and top-k ranking of OSs the
-// paper leaves as future work (§7): candidates matching the keywords are
-// summarized first, then ranked by the importance Im(S) of their size-l OS
-// — the summary's weight, not just the DS tuple's own global score — and
-// the best k are returned. A DS whose neighborhood is important outranks a
-// well-connected but shallow one.
-//
-// RankedSearch drains an Engine.Query stream with RankBySummary set;
-// prefer Query for new code — same results, plus Limit/Cursor paging
-// through the ranked k.
-func (e *Engine) RankedSearch(dsRel, query string, l, k int, opts SearchOptions) ([]Summary, error) {
-	opts.fill()
-	if k < 1 {
-		return nil, fmt.Errorf("sizelos: k must be >= 1, got %d", k)
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	r, err := e.queryLocked(QueryRequest{
-		Rel: dsRel, Query: query, L: l,
-		Setting: opts.Setting, Algorithm: opts.Algorithm,
-		RankBySummary: true, K: k,
-		Complete: opts.UseComplete, FromDatabase: opts.FromDatabase,
-		ShowWeights: opts.ShowWeights,
-		Parallel:    opts.Parallel, Pool: opts.Pool, CacheScope: opts.CacheScope,
-	}, true)
-	if err != nil {
-		return nil, err
-	}
-	return r.Drain()
 }
 
 // RegisterAutoGDS derives a G_DS for dsRel automatically from the schema

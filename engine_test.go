@@ -30,7 +30,7 @@ func getDBLP(t *testing.T) *Engine {
 
 func TestSearchFaloutsos(t *testing.T) {
 	eng := getDBLP(t)
-	results, err := eng.Search("Author", "Faloutsos", 15, SearchOptions{})
+	results, _, _, err := eng.QueryPage(QueryRequest{Rel: "Author", Query: "Faloutsos", L: 15})
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
@@ -55,7 +55,7 @@ func TestSearchFaloutsos(t *testing.T) {
 
 func TestSearchMultiKeyword(t *testing.T) {
 	eng := getDBLP(t)
-	results, err := eng.Search("Author", "Christos Faloutsos", 10, SearchOptions{})
+	results, _, _, err := eng.QueryPage(QueryRequest{Rel: "Author", Query: "Christos Faloutsos", L: 10})
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
@@ -69,7 +69,7 @@ func TestSearchMultiKeyword(t *testing.T) {
 
 func TestSearchNoMatch(t *testing.T) {
 	eng := getDBLP(t)
-	results, err := eng.Search("Author", "Nonexistent Person", 10, SearchOptions{})
+	results, _, _, err := eng.QueryPage(QueryRequest{Rel: "Author", Query: "Nonexistent Person", L: 10})
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
@@ -82,7 +82,7 @@ func TestAlgorithmsAgreeOnImportanceOrdering(t *testing.T) {
 	eng := getDBLP(t)
 	var imp = map[Algorithm]float64{}
 	for _, algo := range []Algorithm{AlgoDP, AlgoBottomUp, AlgoTopPath} {
-		res, err := eng.Search("Author", "Christos Faloutsos", 12, SearchOptions{Algorithm: algo})
+		res, _, _, err := eng.QueryPage(QueryRequest{Rel: "Author", Query: "Christos Faloutsos", L: 12, Algorithm: algo})
 		if err != nil {
 			t.Fatalf("Search(%s): %v", algo, err)
 		}
@@ -98,11 +98,11 @@ func TestAlgorithmsAgreeOnImportanceOrdering(t *testing.T) {
 
 func TestCompleteVsPrelimAgree(t *testing.T) {
 	eng := getDBLP(t)
-	a, err := eng.Search("Author", "Christos Faloutsos", 15, SearchOptions{UseComplete: true})
+	a, _, _, err := eng.QueryPage(QueryRequest{Rel: "Author", Query: "Christos Faloutsos", L: 15, Complete: true})
 	if err != nil {
 		t.Fatalf("Search(complete): %v", err)
 	}
-	b, err := eng.Search("Author", "Christos Faloutsos", 15, SearchOptions{})
+	b, _, _, err := eng.QueryPage(QueryRequest{Rel: "Author", Query: "Christos Faloutsos", L: 15})
 	if err != nil {
 		t.Fatalf("Search(prelim): %v", err)
 	}
@@ -120,7 +120,7 @@ func TestCompleteVsPrelimAgree(t *testing.T) {
 
 func TestDatabaseSourcePath(t *testing.T) {
 	eng := getDBLP(t)
-	res, err := eng.Search("Author", "Christos Faloutsos", 10, SearchOptions{FromDatabase: true})
+	res, _, _, err := eng.QueryPage(QueryRequest{Rel: "Author", Query: "Christos Faloutsos", L: 10, FromDatabase: true})
 	if err != nil {
 		t.Fatalf("Search(db source): %v", err)
 	}
@@ -137,7 +137,7 @@ func TestSettings(t *testing.T) {
 		t.Errorf("SettingNames = %v, want %v", got, want)
 	}
 	for _, s := range want {
-		res, err := eng.Search("Author", "Faloutsos", 5, SearchOptions{Setting: s})
+		res, _, _, err := eng.QueryPage(QueryRequest{Rel: "Author", Query: "Faloutsos", L: 5, Setting: s})
 		if err != nil {
 			t.Fatalf("Search(%s): %v", s, err)
 		}
@@ -145,7 +145,7 @@ func TestSettings(t *testing.T) {
 			t.Errorf("Search(%s): %d results", s, len(res))
 		}
 	}
-	if _, err := eng.Search("Author", "x", 5, SearchOptions{Setting: "nope"}); err == nil {
+	if _, _, _, err := eng.QueryPage(QueryRequest{Rel: "Author", Query: "x", L: 5, Setting: "nope"}); err == nil {
 		t.Error("unknown setting accepted")
 	}
 }
@@ -165,12 +165,12 @@ func TestErrors(t *testing.T) {
 
 func TestTopK(t *testing.T) {
 	eng := getDBLP(t)
-	res, err := eng.Search("Author", "Faloutsos", 5, SearchOptions{TopK: 1})
+	res, _, _, err := eng.QueryPage(QueryRequest{Rel: "Author", Query: "Faloutsos", L: 5, Limit: 1})
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
 	if len(res) != 1 {
-		t.Errorf("TopK=1 returned %d results", len(res))
+		t.Errorf("Limit=1 returned %d results", len(res))
 	}
 }
 
@@ -184,7 +184,7 @@ func TestOpenTPCH(t *testing.T) {
 		t.Fatalf("OpenTPCH: %v", err)
 	}
 	// Every customer name is unique: search one and summarize.
-	res, err := eng.Search("Customer", "Customer#000001", 10, SearchOptions{})
+	res, _, _, err := eng.QueryPage(QueryRequest{Rel: "Customer", Query: "Customer#000001", L: 10})
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}

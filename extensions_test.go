@@ -7,9 +7,9 @@ import (
 
 func TestRankedSearchOrdersByImS(t *testing.T) {
 	eng := getDBLP(t)
-	res, err := eng.RankedSearch("Author", "Faloutsos", 10, 3, SearchOptions{})
+	res, _, _, err := eng.QueryPage(QueryRequest{Rel: "Author", Query: "Faloutsos", L: 10, RankBySummary: true, K: 3})
 	if err != nil {
-		t.Fatalf("RankedSearch: %v", err)
+		t.Fatalf("ranked query: %v", err)
 	}
 	if len(res) != 3 {
 		t.Fatalf("got %d results, want 3", len(res))
@@ -21,9 +21,9 @@ func TestRankedSearchOrdersByImS(t *testing.T) {
 		}
 	}
 	// Top-k truncation.
-	res, err = eng.RankedSearch("Author", "Faloutsos", 10, 1, SearchOptions{})
+	res, _, _, err = eng.QueryPage(QueryRequest{Rel: "Author", Query: "Faloutsos", L: 10, RankBySummary: true, K: 1})
 	if err != nil {
-		t.Fatalf("RankedSearch: %v", err)
+		t.Fatalf("ranked query: %v", err)
 	}
 	if len(res) != 1 {
 		t.Errorf("k=1 returned %d results", len(res))
@@ -31,14 +31,15 @@ func TestRankedSearchOrdersByImS(t *testing.T) {
 }
 
 func TestRankedSearchVsPlainSearchMayDiffer(t *testing.T) {
-	// RankedSearch orders by summary importance; Search orders by DS global
-	// score. Both must return the same *set* of DSs for the same query.
+	// A RankBySummary query orders by summary importance; a plain query
+	// orders by DS global score. Both must return the same *set* of DSs for
+	// the same query.
 	eng := getDBLP(t)
-	a, err := eng.Search("Author", "Faloutsos", 10, SearchOptions{})
+	a, _, _, err := eng.QueryPage(QueryRequest{Rel: "Author", Query: "Faloutsos", L: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := eng.RankedSearch("Author", "Faloutsos", 10, 10, SearchOptions{})
+	b, _, _, err := eng.QueryPage(QueryRequest{Rel: "Author", Query: "Faloutsos", L: 10, RankBySummary: true, K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,17 +52,17 @@ func TestRankedSearchVsPlainSearchMayDiffer(t *testing.T) {
 	}
 	for _, s := range b {
 		if !seen[s.Headline] {
-			t.Errorf("RankedSearch returned %q not in Search results", s.Headline)
+			t.Errorf("ranked query returned %q not in plain results", s.Headline)
 		}
 	}
 }
 
 func TestRankedSearchErrors(t *testing.T) {
 	eng := getDBLP(t)
-	if _, err := eng.RankedSearch("Author", "x", 5, 0, SearchOptions{}); err == nil {
-		t.Error("k=0 accepted")
+	if _, _, _, err := eng.QueryPage(QueryRequest{Rel: "Author", Query: "x", L: 5, RankBySummary: true, K: -1}); err == nil {
+		t.Error("negative k accepted")
 	}
-	if _, err := eng.RankedSearch("Author", "x", 5, 1, SearchOptions{Setting: "nope"}); err == nil {
+	if _, _, _, err := eng.QueryPage(QueryRequest{Rel: "Author", Query: "x", L: 5, RankBySummary: true, K: 1, Setting: "nope"}); err == nil {
 		t.Error("unknown setting accepted")
 	}
 }
@@ -84,7 +85,7 @@ func TestRegisterAutoGDS(t *testing.T) {
 		t.Errorf("auto G_DS not annotated: root max %v", gds.Root.Max)
 	}
 	// And it must be usable end-to-end.
-	res, err := eng.Search("Conference", "SIGMOD", 8, SearchOptions{})
+	res, _, _, err := eng.QueryPage(QueryRequest{Rel: "Conference", Query: "SIGMOD", L: 8})
 	if err != nil {
 		t.Fatalf("Search on auto G_DS: %v", err)
 	}

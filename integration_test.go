@@ -47,11 +47,11 @@ func TestPersistenceRoundTripSearch(t *testing.T) {
 	}
 	engB := build(reloaded)
 
-	a, err := engA.Search("Author", "Christos Faloutsos", 10, SearchOptions{})
+	a, _, _, err := engA.QueryPage(QueryRequest{Rel: "Author", Query: "Christos Faloutsos", L: 10})
 	if err != nil {
 		t.Fatalf("Search(a): %v", err)
 	}
-	b, err := engB.Search("Author", "Christos Faloutsos", 10, SearchOptions{})
+	b, _, _, err := engB.QueryPage(QueryRequest{Rel: "Author", Query: "Christos Faloutsos", L: 10})
 	if err != nil {
 		t.Fatalf("Search(b): %v", err)
 	}

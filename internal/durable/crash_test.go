@@ -273,8 +273,8 @@ func recoverAndCheck(t *testing.T, view *MemFS, op int, mode TailMode,
 		}
 
 		// And the recovered engine actually serves.
-		if _, err := eng.Search("Author", "synthetic", 3, sizelos.SearchOptions{}); err != nil {
-			if _, err2 := eng.Search("Customer", "synthetic", 3, sizelos.SearchOptions{}); err2 != nil {
+		if _, _, _, err := eng.QueryPage(sizelos.QueryRequest{Rel: "Author", Query: "synthetic", L: 3}); err != nil {
+			if _, _, _, err2 := eng.QueryPage(sizelos.QueryRequest{Rel: "Customer", Query: "synthetic", L: 3}); err2 != nil {
 				t.Fatalf("%s: recovered engine cannot serve: %v / %v", tag, err, err2)
 			}
 		}

@@ -2,35 +2,18 @@ package keyword
 
 // This file implements incremental index maintenance: when the database
 // mutates, the engine retracts the postings of deleted tuples and adds
-// those of inserted ones instead of re-tokenizing the whole corpus. Both
-// layouts implement the Maintainer contract and are required to end up
-// bit-identical to a from-scratch rebuild over the mutated database — the
-// flat index by merging into its single posting map, the sharded index by
-// routing each touched token to the one FNV shard it lives in and applying
-// the shard deltas in parallel.
+// those of inserted ones instead of re-tokenizing the whole corpus. Each
+// touched token is routed to the one FNV shard it lives in and the shard
+// deltas apply in parallel; the result is bit-identical to a from-scratch
+// rebuild over the mutated database.
 
 import (
 	"sizelos/internal/relational"
 	"sizelos/internal/searchexec"
 )
 
-// Maintainer is the maintenance-side contract of a keyword index: Apply
-// folds one relation's mutation batch into the index. inserted and deleted
-// are ascending TupleID lists; deleted tuples must still hold their content
-// (the storage layer's tombstones guarantee this) so their tokens can be
-// retracted. Apply is not safe to run concurrently with lookups — the
-// engine serializes mutations against in-flight searches.
-type Maintainer interface {
-	Apply(rel string, inserted, deleted []relational.TupleID)
-}
-
-var (
-	_ Maintainer = (*Index)(nil)
-	_ Maintainer = (*Sharded)(nil)
-)
-
 // collectTokens tokenizes the given tuples of rel tuple-major into a
-// token -> ascending deduplicated ids map. Unlike indexTuples it takes an
+// token -> ascending deduplicated ids map. Unlike tokenizeChunk it takes an
 // explicit id list and ignores tombstones: the delete path tokenizes tuples
 // that are already tombstoned.
 func collectTokens(rel *relational.Relation, strCols []int, ids []relational.TupleID) map[string][]relational.TupleID {
@@ -112,27 +95,14 @@ func applyToPostings(postings map[string][]relational.TupleID, rem, add map[stri
 	}
 }
 
-// Apply implements Maintainer for the flat index.
-func (idx *Index) Apply(rel string, inserted, deleted []relational.TupleID) {
-	r := idx.db.Relation(rel)
-	if r == nil {
-		return
-	}
-	strCols := stringColumns(r)
-	postings := idx.postings[rel]
-	if postings == nil {
-		postings = make(map[string][]relational.TupleID)
-		idx.postings[rel] = postings
-	}
-	applyToPostings(postings,
-		collectTokens(r, strCols, deleted),
-		collectTokens(r, strCols, inserted))
-}
-
-// Apply implements Maintainer for the sharded index: the batch's token
-// deltas are partitioned by the same FNV hash that placed them at build
-// time, then every touched shard folds its slice of the delta in parallel,
-// one goroutine per shard, never crossing shard boundaries.
+// Apply folds one relation's mutation batch into the index. inserted and
+// deleted are ascending TupleID lists; deleted tuples must still hold their
+// content (the storage layer's tombstones guarantee this) so their tokens
+// can be retracted. The batch's token deltas are partitioned by the same
+// FNV hash that placed them at build time, then every touched shard folds
+// its slice of the delta in parallel, one goroutine per shard, never
+// crossing shard boundaries. Apply is not safe to run concurrently with
+// lookups — the engine serializes mutations against in-flight searches.
 func (idx *Sharded) Apply(rel string, inserted, deleted []relational.TupleID) {
 	if !idx.known[rel] {
 		return

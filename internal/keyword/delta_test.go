@@ -9,48 +9,6 @@ import (
 	"sizelos/internal/relational"
 )
 
-// postingsOf normalizes any index layout to rel -> token -> postings,
-// dropping empty lists and empty relation maps, so physically different
-// layouts (and maps that emptied out incrementally) compare bit-for-bit at
-// the level queries observe.
-func postingsOf(t *testing.T, idx Searcher) map[string]map[string][]relational.TupleID {
-	t.Helper()
-	out := make(map[string]map[string][]relational.TupleID)
-	add := func(rel, tok string, ids []relational.TupleID) {
-		if len(ids) == 0 {
-			return
-		}
-		m := out[rel]
-		if m == nil {
-			m = make(map[string][]relational.TupleID)
-			out[rel] = m
-		}
-		if _, dup := m[tok]; dup {
-			t.Fatalf("token %q of %s appears in two shards", tok, rel)
-		}
-		m[tok] = append([]relational.TupleID(nil), ids...)
-	}
-	switch v := idx.(type) {
-	case *Index:
-		for rel, tokens := range v.postings {
-			for tok, ids := range tokens {
-				add(rel, tok, ids)
-			}
-		}
-	case *Sharded:
-		for _, shard := range v.shards {
-			for rel, tokens := range shard {
-				for tok, ids := range tokens {
-					add(rel, tok, ids)
-				}
-			}
-		}
-	default:
-		t.Fatalf("unknown layout %T", idx)
-	}
-	return out
-}
-
 // referencedBy maps relation name -> relations owning an FK into it.
 func referencedBy(db *relational.DB) map[string][]string {
 	out := make(map[string][]string)
@@ -62,10 +20,10 @@ func referencedBy(db *relational.DB) map[string][]string {
 	return out
 }
 
-// anyToken returns the lexicographically first token of one relation in
-// the flat index, or "" when the relation has no string content.
-func anyToken(flat *Index, rel string) string {
-	tokens := flat.postings[rel]
+// anyToken returns the lexicographically first token of one relation, or ""
+// when the relation has no string content.
+func anyToken(o *oracle, rel string) string {
+	tokens := o.postings[rel]
 	best := ""
 	for tok := range tokens {
 		if best == "" || tok < best {
@@ -80,7 +38,7 @@ func anyToken(flat *Index, rel string) string {
 // string-bearing referenced tuple (children first), and two inserts per
 // relation whose string values mix an existing token (merges into a live
 // posting list) with fresh ones (new posting lists).
-func mutationBatch(t *testing.T, db *relational.DB, flat *Index, round int) relational.Batch {
+func mutationBatch(t *testing.T, db *relational.DB, o *oracle, round int) relational.Batch {
 	t.Helper()
 	refs := referencedBy(db)
 	var batch relational.Batch
@@ -185,7 +143,7 @@ func mutationBatch(t *testing.T, db *relational.DB, flat *Index, round int) rela
 					}
 					tuple[ci] = relational.IntVal(src)
 				case col.Kind == relational.KindString:
-					tuple[ci] = relational.StrVal(fmt.Sprintf("%s zzmut%dr%dn%d", anyToken(flat, r.Name), ci, round, n))
+					tuple[ci] = relational.StrVal(fmt.Sprintf("%s zzmut%dr%dn%d", anyToken(o, r.Name), ci, round, n))
 				case col.Kind == relational.KindFloat:
 					tuple[ci] = relational.FloatVal(1.5)
 				default:
@@ -204,20 +162,32 @@ func mutationBatch(t *testing.T, db *relational.DB, flat *Index, round int) rela
 }
 
 // TestIncrementalEqualsRebuild mutates the DBLP and TPC-H fixtures in two
-// rounds and requires, after each round, that incrementally maintained
-// indexes — the flat reference and the sharded layout at 1/4/17 shards —
-// are bit-identical (same tokens, same exact posting lists) to from-scratch
-// rebuilds over the mutated database, and that queries agree.
+// rounds, then compacts every tombstoned relation, and requires after each
+// step that the incrementally maintained index at 1/4/17 shards is
+// bit-identical (same tokens, same exact posting lists) to a from-scratch
+// rebuild over the mutated database and answers queries exactly like the
+// brute-force oracle.
 func TestIncrementalEqualsRebuild(t *testing.T) {
 	for name, db := range equalityDBs(t) {
 		t.Run(name, func(t *testing.T) {
-			flat := BuildIndex(db)
 			shardeds := make(map[int]*Sharded, len(equalityShardCounts))
 			for _, n := range equalityShardCounts {
 				shardeds[n] = BuildSharded(db, ShardedOptions{NumShards: n})
 			}
+			check := func(step string) {
+				t.Helper()
+				o := newOracle(db)
+				scores := syntheticScores(db)
+				for _, n := range equalityShardCounts {
+					rebuilt := BuildSharded(db, ShardedOptions{NumShards: n})
+					if !reflect.DeepEqual(postingsOf(t, shardeds[n]), postingsOf(t, rebuilt)) {
+						t.Fatalf("%s: incremental sharded(%d) != rebuilt sharded(%d)", step, n, n)
+					}
+					checkOracle(t, fmt.Sprintf("%s: sharded(%d)", step, n), shardeds[n], o, scores)
+				}
+			}
 			for round := 0; round < 2; round++ {
-				batch := mutationBatch(t, db, flat, round)
+				batch := mutationBatch(t, db, newOracle(db), round)
 				res, err := db.Apply(batch)
 				if err != nil {
 					t.Fatalf("round %d: Apply: %v", round, err)
@@ -228,71 +198,48 @@ func TestIncrementalEqualsRebuild(t *testing.T) {
 				}
 				sort.Strings(rels)
 				for _, rel := range rels {
-					flat.Apply(rel, res.Inserted[rel], res.Deleted[rel])
 					for _, idx := range shardeds {
 						idx.Apply(rel, res.Inserted[rel], res.Deleted[rel])
 					}
 				}
-
-				want := postingsOf(t, BuildIndex(db))
-				if got := postingsOf(t, flat); !reflect.DeepEqual(got, want) {
-					t.Fatalf("round %d: incremental flat != rebuilt flat", round)
-				}
-				for _, n := range equalityShardCounts {
-					rebuilt := BuildSharded(db, ShardedOptions{NumShards: n})
-					if got := postingsOf(t, shardeds[n]); !reflect.DeepEqual(got, postingsOf(t, rebuilt)) {
-						t.Fatalf("round %d: incremental sharded(%d) != rebuilt sharded(%d)", round, n, n)
-					}
-					if got := postingsOf(t, shardeds[n]); !reflect.DeepEqual(got, want) {
-						t.Fatalf("round %d: incremental sharded(%d) != rebuilt flat", round, n)
-					}
-				}
-
-				// Query-level agreement on a spread of the mutated corpus,
-				// including the fresh tokens and a miss.
-				scores := syntheticScores(db)
-				pairs := corpusTokens(flat)
-				for i := 0; i < len(pairs); i += 1 + len(pairs)/96 {
-					rel, tok := pairs[i][0], pairs[i][1]
-					want := flat.Search(rel, tok, scores)
-					for _, n := range equalityShardCounts {
-						if got := shardeds[n].Search(rel, tok, scores); !reflect.DeepEqual(got, want) {
-							t.Fatalf("round %d: Search(%s, %q) sharded(%d) diverged", round, rel, tok, n)
-						}
-					}
-				}
-				if got := flat.Lookup(db.Relations[0].Name, []string{"zz-never-inserted"}); got != nil {
-					t.Fatalf("round %d: miss returned %v", round, got)
-				}
+				check(fmt.Sprintf("round %d", round))
 			}
+			compacted := 0
+			for _, r := range db.Relations {
+				if r.Tombstones() == 0 {
+					continue
+				}
+				remap := r.Compact()
+				for _, idx := range shardeds {
+					idx.Remap(r.Name, remap)
+				}
+				compacted++
+			}
+			if compacted == 0 {
+				t.Fatal("mutation rounds left nothing to compact")
+			}
+			check("after compaction")
 		})
 	}
 }
 
-// TestApplyEmptiesToken retracts the only tuples carrying a token and
-// checks the posting entry disappears from every layout, exactly as a
-// rebuild would have it.
+// TestApplyEmptiesToken retracts the only tuple carrying a token and checks
+// the posting entry disappears, exactly as a rebuild would have it.
 func TestApplyEmptiesToken(t *testing.T) {
 	db := libraryDB(t)
-	flat := BuildIndex(db)
 	sharded := BuildSharded(db, ShardedOptions{NumShards: 4})
-	book := db.Relation("Book")
 	// "classic" occurs only in Book pk 2.
 	if _, err := db.Apply(relational.Batch{Deletes: []relational.DeleteOp{{Rel: "Book", PK: 2}}}); err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
-	_ = book
-	flat.Apply("Book", nil, []relational.TupleID{1})
 	sharded.Apply("Book", nil, []relational.TupleID{1})
-	for _, idx := range []Searcher{flat, sharded} {
-		if got := idx.Lookup("Book", []string{"classic"}); got != nil {
-			t.Fatalf("%T: deleted token still resolves: %v", idx, got)
-		}
-		if got := idx.Lookup("Book", []string{"graph"}); !reflect.DeepEqual(got, []relational.TupleID{0}) {
-			t.Fatalf("%T: surviving token wrong: %v", idx, got)
-		}
+	if got := lookup(sharded, "Book", "classic"); got != nil {
+		t.Fatalf("deleted token still resolves: %v", got)
 	}
-	if _, ok := flat.postings["Book"]["classic"]; ok {
-		t.Fatal("flat kept an empty posting entry")
+	if got := lookup(sharded, "Book", "graph"); !reflect.DeepEqual(got, []relational.TupleID{0}) {
+		t.Fatalf("surviving token wrong: %v", got)
+	}
+	if _, ok := sharded.shards[shardOf("classic", 4)]["Book"]["classic"]; ok {
+		t.Fatal("Apply kept an empty posting entry")
 	}
 }

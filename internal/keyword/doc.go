@@ -4,12 +4,11 @@
 // attribute's value (paper §2.1). One size-l OS is then produced per
 // matching DS tuple, as in Example 5.
 //
-// Two implementations share the Searcher contract: Index is the flat
-// reference index built serially, Sharded hash-partitions tokens across
-// independent posting maps built and probed in parallel. Both return
-// identical results for every query; the engine uses Sharded. Both also
-// implement Maintainer (incremental posting deltas for mutation batches)
-// and Compactor (TupleID remaps after physical compaction).
+// Sharded is the one index layout: it hash-partitions tokens across
+// independent posting maps built and probed in parallel, answers queries
+// as best-first pull streams (SearchStream), absorbs mutation batches as
+// incremental posting deltas (Apply) and rewrites TupleIDs after physical
+// compaction (Remap). Results never depend on the shard count.
 //
 // # Invariants
 //
@@ -17,9 +16,9 @@
 //     appearing in two string columns of one tuple posts that tuple once.
 //     Search results are ranked by the caller-supplied global importance,
 //     ties broken by TupleID.
-//   - Posting lists hold LIVE tuples only. Maintainer.Apply retracts a
-//     deleted tuple's postings by re-tokenizing its retained slot content;
-//     it therefore requires the relational layer's tombstone contract
+//   - Posting lists hold LIVE tuples only. Apply retracts a deleted
+//     tuple's postings by re-tokenizing its retained slot content; it
+//     therefore requires the relational layer's tombstone contract
 //     (content kept until compaction) and per-relation id lists in
 //     ascending order — the relational.BatchResult contract.
 //   - Incremental maintenance is exact: after any sequence of Apply calls
@@ -27,11 +26,11 @@
 //     mutated store — same tokens, same posting lists — at every shard
 //     count (delta_test.go enforces this on DBLP and TPC-H at 1/4/17
 //     shards).
-//   - Sharded.Apply partitions the token delta with the same FNV hash that
+//   - Apply partitions the token delta with the same FNV hash that
 //     placed tokens at build time; a token's shard assignment never
 //     changes across maintenance.
-//   - Compactor.Remap is sound only because postings are live-only: a
-//     monotonic TupleID remap (relational.Relation.Compact's return)
-//     rewrites every posting without re-tokenization. Remapping with a
+//   - Remap is sound only because postings are live-only: a monotonic
+//     TupleID remap (relational.Relation.Compact's return) rewrites every
+//     posting without re-tokenization. Remapping with a
 //     non-compaction (non-monotonic) map would corrupt posting order.
 package keyword

@@ -16,62 +16,12 @@ type Match struct {
 	Score float64
 }
 
-// Searcher is the query-side contract of a keyword index. The engine holds
-// its index through this interface so flat and sharded layouts (or a future
-// remote index) are interchangeable; implementations must return identical
-// results for identical corpora.
-type Searcher interface {
-	// Lookup returns the tuples of one relation containing every keyword
-	// (logical AND over tokens), in ascending tuple order.
-	Lookup(rel string, keywords []string) []relational.TupleID
-	// Search ranks one relation's Lookup candidates by descending global
-	// importance (ties by ascending tuple id).
-	Search(dsRel, query string, scores relational.DBScores) []Match
-	// SearchAll runs Search against every relation with at least one hit,
-	// merged best-first (score desc, relation asc, tuple asc).
-	SearchAll(query string, scores relational.DBScores) []Match
-	// SearchStream is Search as a pull cursor: matches arrive in the same
-	// order, one pop at a time, without materializing the full candidate
-	// set up front.
-	SearchStream(dsRel, query string, scores relational.DBScores) MatchStream
-	// SearchAllStream is SearchAll as a pull cursor over the lazy merge of
-	// every relation's frontier.
-	SearchAllStream(query string, scores relational.DBScores) MatchStream
-}
-
-// Index is the flat inverted index token -> tuples, per relation. It is the
-// serial reference implementation; Sharded must match it bit for bit.
-type Index struct {
-	db *relational.DB
-	// postings[rel][token] lists tuple ids containing token in any string
-	// attribute, in ascending order without duplicates.
-	postings map[string]map[string][]relational.TupleID
-}
-
-var _ Searcher = (*Index)(nil)
-
 // Tokenize lower-cases and splits a string on any non-letter/digit rune.
 // It is exported so queries and documents are guaranteed to agree.
 func Tokenize(s string) []string {
 	return strings.FieldsFunc(strings.ToLower(s), func(r rune) bool {
 		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
 	})
-}
-
-// BuildIndex indexes every string attribute of every relation.
-//
-// Tuples are scanned tuple-major (all string columns of tuple i before any
-// column of tuple i+1) so postings stay ascending and a token occurring in
-// several columns of the same tuple — or several times in one value —
-// yields a single posting.
-func BuildIndex(db *relational.DB) *Index {
-	idx := &Index{db: db, postings: make(map[string]map[string][]relational.TupleID, len(db.Relations))}
-	for _, rel := range db.Relations {
-		tokens := make(map[string][]relational.TupleID)
-		indexTuples(rel, stringColumns(rel), 0, rel.Len(), tokens)
-		idx.postings[rel.Name] = tokens
-	}
-	return idx
 }
 
 // stringColumns returns the ordinals of rel's string-kind columns.
@@ -90,7 +40,7 @@ func stringColumns(rel *relational.Relation) []int {
 // It assumes tuple-major scans with ascending ids (so a tuple's repeat
 // occurrences — a token in several columns, or several times in one value
 // — are always the current tail), which is what keeps posting lists
-// ascending and duplicate-free across all layouts.
+// ascending and duplicate-free across build and maintenance.
 func postToken(tokens map[string][]relational.TupleID, tok string, ti relational.TupleID) {
 	list := tokens[tok]
 	if len(list) > 0 && list[len(list)-1] == ti {
@@ -99,92 +49,11 @@ func postToken(tokens map[string][]relational.TupleID, tok string, ti relational
 	tokens[tok] = append(list, ti)
 }
 
-// indexTuples tokenizes the live tuples of [lo, hi) of rel into tokens,
-// tuple-major; tombstoned slots contribute nothing.
-func indexTuples(rel *relational.Relation, strCols []int, lo, hi int, tokens map[string][]relational.TupleID) {
-	for ti := lo; ti < hi; ti++ {
-		if rel.Deleted(relational.TupleID(ti)) {
-			continue
-		}
-		tup := rel.Tuples[ti]
-		for _, ci := range strCols {
-			for _, tok := range Tokenize(tup[ci].Str) {
-				postToken(tokens, tok, relational.TupleID(ti))
-			}
-		}
-	}
-}
-
-// Lookup returns the tuples of one relation containing every keyword
-// (logical AND over tokens, the R-KwS candidate semantics for a single
-// relation).
-func (idx *Index) Lookup(rel string, keywords []string) []relational.TupleID {
-	tokens := idx.postings[rel]
-	if tokens == nil || len(keywords) == 0 {
-		return nil
-	}
-	var acc []relational.TupleID
-	for i, kw := range keywords {
-		list := tokens[strings.ToLower(kw)]
-		if len(list) == 0 {
-			return nil
-		}
-		if i == 0 {
-			acc = append([]relational.TupleID(nil), list...)
-			continue
-		}
-		acc = intersect(acc, list)
-		if len(acc) == 0 {
-			return nil
-		}
-	}
-	return acc
-}
-
-// intersect merges two ascending posting lists.
-func intersect(a, b []relational.TupleID) []relational.TupleID {
-	var out []relational.TupleID
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			out = append(out, a[i])
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return out
-}
-
-// Search finds the data-subject candidates for a keyword query within the
-// given DS relation, ranked by descending global importance (ties by tuple
-// id). This mirrors the paper's Q1: "Faloutsos" against Author returns the
-// three brothers, each of which roots an OS. Implemented as a full drain of
-// SearchStream so the materialized and streaming surfaces cannot drift.
-func (idx *Index) Search(dsRel string, query string, scores relational.DBScores) []Match {
-	return drainStream(idx.SearchStream(dsRel, query, scores))
-}
-
-// SearchAll runs Search against every relation that has at least one hit,
-// useful when the DS relation is not known in advance (e.g. TPC-H queries
-// naming either a customer or a supplier). Implemented as a full drain of
-// SearchAllStream.
-func (idx *Index) SearchAll(query string, scores relational.DBScores) []Match {
-	return drainStream(idx.SearchAllStream(query, scores))
-}
-
-// matchLess is the global best-first order: score desc, relation asc,
-// tuple asc. Total over any one database, so every layout agrees.
+// matchLess is the best-first order of one relation's matches: score
+// desc, tuple asc.
 func matchLess(a, b Match) bool {
 	if a.Score != b.Score {
 		return a.Score > b.Score
-	}
-	if a.Relation != b.Relation {
-		return a.Relation < b.Relation
 	}
 	return a.Tuple < b.Tuple
 }

@@ -54,61 +54,61 @@ func TestTokenize(t *testing.T) {
 }
 
 func TestLookupSingleKeyword(t *testing.T) {
-	idx := BuildIndex(libraryDB(t))
-	got := idx.Lookup("Author", []string{"faloutsos"})
+	idx := BuildSharded(libraryDB(t), ShardedOptions{NumShards: 4})
+	got := lookup(idx, "Author", "faloutsos")
 	want := []relational.TupleID{0, 1}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Lookup(faloutsos) = %v, want %v", got, want)
+		t.Errorf("lookup(faloutsos) = %v, want %v", got, want)
 	}
 }
 
 func TestLookupAND(t *testing.T) {
-	idx := BuildIndex(libraryDB(t))
-	got := idx.Lookup("Author", []string{"christos", "faloutsos"})
+	idx := BuildSharded(libraryDB(t), ShardedOptions{NumShards: 4})
+	got := lookup(idx, "Author", "christos faloutsos")
 	if !reflect.DeepEqual(got, []relational.TupleID{0}) {
-		t.Errorf("Lookup(christos faloutsos) = %v, want [0]", got)
+		t.Errorf("lookup(christos faloutsos) = %v, want [0]", got)
 	}
-	if got := idx.Lookup("Author", []string{"christos", "agrawal"}); got != nil {
+	if got := lookup(idx, "Author", "christos agrawal"); got != nil {
 		t.Errorf("conflicting keywords matched %v", got)
 	}
 }
 
 func TestLookupMisses(t *testing.T) {
-	idx := BuildIndex(libraryDB(t))
-	if got := idx.Lookup("Author", []string{"nobody"}); got != nil {
-		t.Errorf("Lookup(nobody) = %v", got)
+	idx := BuildSharded(libraryDB(t), ShardedOptions{NumShards: 4})
+	if got := lookup(idx, "Author", "nobody"); got != nil {
+		t.Errorf("lookup(nobody) = %v", got)
 	}
-	if got := idx.Lookup("Ghost", []string{"faloutsos"}); got != nil {
-		t.Errorf("Lookup on unknown relation = %v", got)
+	if got := lookup(idx, "Ghost", "faloutsos"); got != nil {
+		t.Errorf("lookup on unknown relation = %v", got)
 	}
-	if got := idx.Lookup("Author", nil); got != nil {
-		t.Errorf("Lookup with no keywords = %v", got)
+	if got := lookup(idx, "Author", ""); got != nil {
+		t.Errorf("lookup with no keywords = %v", got)
 	}
 }
 
 func TestLookupMultipleColumns(t *testing.T) {
-	idx := BuildIndex(libraryDB(t))
+	idx := BuildSharded(libraryDB(t), ShardedOptions{NumShards: 4})
 	// "mining" appears in two books' titles; "faloutsos" in one blurb.
-	got := idx.Lookup("Book", []string{"mining"})
+	got := lookup(idx, "Book", "mining")
 	if !reflect.DeepEqual(got, []relational.TupleID{0, 1}) {
-		t.Errorf("Lookup(mining) = %v", got)
+		t.Errorf("lookup(mining) = %v", got)
 	}
-	got = idx.Lookup("Book", []string{"mining", "faloutsos"})
+	got = lookup(idx, "Book", "mining faloutsos")
 	if !reflect.DeepEqual(got, []relational.TupleID{0}) {
-		t.Errorf("Lookup(mining faloutsos) = %v", got)
+		t.Errorf("lookup(mining faloutsos) = %v", got)
 	}
 }
 
 func TestSearchRanked(t *testing.T) {
 	db := libraryDB(t)
-	idx := BuildIndex(db)
+	idx := BuildSharded(db, ShardedOptions{NumShards: 4})
 	scores := relational.DBScores{
 		"Author": relational.Scores{1.0, 7.0, 3.0}, // Michalis outranks Christos
 		"Book":   relational.Scores{1, 1},
 	}
-	got := idx.Search("Author", "Faloutsos", scores)
+	got := drain(idx.SearchStream("Author", "Faloutsos", scores))
 	if len(got) != 2 {
-		t.Fatalf("Search returned %d matches, want 2", len(got))
+		t.Fatalf("SearchStream returned %d matches, want 2", len(got))
 	}
 	if got[0].Tuple != 1 || got[1].Tuple != 0 {
 		t.Errorf("ranking wrong: %+v", got)
@@ -118,26 +118,14 @@ func TestSearchRanked(t *testing.T) {
 	}
 }
 
-func TestSearchAll(t *testing.T) {
-	db := libraryDB(t)
-	idx := BuildIndex(db)
-	scores := relational.DBScores{
-		"Author": relational.Scores{1, 2, 3},
-		"Book":   relational.Scores{9, 1},
-	}
-	got := idx.SearchAll("faloutsos", scores)
-	if len(got) != 3 {
-		t.Fatalf("SearchAll returned %d matches, want 3 (2 authors + 1 book)", len(got))
-	}
-	if got[0].Relation != "Book" || got[0].Tuple != 0 {
-		t.Errorf("best match should be the book (score 9): %+v", got[0])
-	}
-}
-
 func TestSearchEmptyQuery(t *testing.T) {
-	idx := BuildIndex(libraryDB(t))
-	if got := idx.Search("Author", "  ", relational.DBScores{}); got != nil {
-		t.Errorf("empty query matched %v", got)
+	idx := BuildSharded(libraryDB(t), ShardedOptions{NumShards: 4})
+	s := idx.SearchStream("Author", "  ", relational.DBScores{})
+	if s.Remaining() != 0 {
+		t.Errorf("empty query holds %d matches", s.Remaining())
+	}
+	if m, ok := s.Next(); ok {
+		t.Errorf("empty query matched %+v", m)
 	}
 }
 
@@ -161,24 +149,23 @@ func TestCrossColumnDedup(t *testing.T) {
 	doc.MustInsert(relational.Tuple{relational.IntVal(2), relational.StrVal("Streams"), relational.StrVal("stream mining")})
 	doc.MustInsert(relational.Tuple{relational.IntVal(3), relational.StrVal("Mining"), relational.StrVal("mining text")})
 
-	for name, idx := range map[string]Searcher{
-		"flat":    BuildIndex(db),
-		"sharded": BuildSharded(db, ShardedOptions{NumShards: 4}),
-	} {
-		if got, want := idx.Lookup("Doc", []string{"graphs"}), []relational.TupleID{0}; !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: Lookup(graphs) = %v, want %v (cross-column duplicate)", name, got, want)
+	for _, n := range []int{1, 4} {
+		idx := BuildSharded(db, ShardedOptions{NumShards: n})
+		if got, want := idx.postings("Doc", "graphs"), []relational.TupleID{0}; !reflect.DeepEqual(got, want) {
+			t.Errorf("shards=%d: postings(graphs) = %v, want %v (cross-column duplicate)", n, got, want)
 		}
-		if got, want := idx.Lookup("Doc", []string{"mining"}), []relational.TupleID{1, 2}; !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: Lookup(mining) = %v, want %v (postings must stay ascending and unique)", name, got, want)
+		if got, want := idx.postings("Doc", "mining"), []relational.TupleID{1, 2}; !reflect.DeepEqual(got, want) {
+			t.Errorf("shards=%d: postings(mining) = %v, want %v (postings must stay ascending and unique)", n, got, want)
 		}
 		// The AND path would previously see the unsorted [1 2 0 2] list and
 		// drop tuple 2 from intersections.
-		if got, want := idx.Lookup("Doc", []string{"mining", "text"}), []relational.TupleID{2}; !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: Lookup(mining text) = %v, want %v", name, got, want)
+		if got, want := lookup(idx, "Doc", "mining text"), []relational.TupleID{2}; !reflect.DeepEqual(got, want) {
+			t.Errorf("shards=%d: lookup(mining text) = %v, want %v", n, got, want)
 		}
 	}
 }
 
+// TestIntersect pins the lazy intersection on hand-computed cases.
 func TestIntersect(t *testing.T) {
 	tests := []struct {
 		a, b, want []relational.TupleID
@@ -189,8 +176,21 @@ func TestIntersect(t *testing.T) {
 		{[]relational.TupleID{5, 9}, []relational.TupleID{5, 9}, []relational.TupleID{5, 9}},
 	}
 	for _, tc := range tests {
-		if got := intersect(tc.a, tc.b); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("intersect(%v,%v) = %v, want %v", tc.a, tc.b, got, tc.want)
+		if got := intersectAll(tc.a, tc.b); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("intersection(%v,%v) = %v, want %v", tc.a, tc.b, got, tc.want)
 		}
+	}
+}
+
+// intersectAll drains the lazy intersection of lists.
+func intersectAll(lists ...[]relational.TupleID) []relational.TupleID {
+	it := newIntersection(lists)
+	var out []relational.TupleID
+	for {
+		id, ok := it.next()
+		if !ok {
+			return out
+		}
+		out = append(out, id)
 	}
 }

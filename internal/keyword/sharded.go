@@ -2,7 +2,6 @@ package keyword
 
 import (
 	"runtime"
-	"strings"
 
 	"sizelos/internal/relational"
 	"sizelos/internal/searchexec"
@@ -11,11 +10,9 @@ import (
 // Sharded is an inverted index whose tokens are hash-partitioned across
 // NumShards independent posting maps. Construction tokenizes the column
 // stream in parallel chunks and lets one goroutine per shard own its map;
-// each lookup probes only the shard its keyword hashes to, and SearchAll
-// fans out across relations and merges the rankings best-first.
-// Results are bit-identical to the flat Index at any shard count: postings
-// per (relation, token) are the same ascending deduplicated lists, only
-// their physical placement differs.
+// each lookup probes only the shard its keyword hashes to. Results are
+// identical at any shard count: postings per (relation, token) are the same
+// ascending deduplicated lists, only their physical placement differs.
 type Sharded struct {
 	db        *relational.DB
 	numShards int
@@ -24,12 +21,10 @@ type Sharded struct {
 	// BuildSharded is Apply, which callers must serialize against lookups
 	// (the engine holds its write lock across mutations).
 	shards []map[string]map[string][]relational.TupleID
-	// known marks relation names present in db, mirroring the flat index's
-	// "unknown relation -> nil" behavior without probing every shard.
+	// known marks relation names present in db, so an unknown relation
+	// matches nothing without probing every shard.
 	known map[string]bool
 }
-
-var _ Searcher = (*Sharded)(nil)
 
 // ShardedOptions tunes BuildSharded. The zero value picks sensible
 // defaults: one shard per CPU and a GOMAXPROCS-wide tokenizer pool.
@@ -80,8 +75,8 @@ type buildChunk struct {
 // token-partitioned index. The column stream is tokenized by a worker pool
 // in relation-ordered chunks (phase 1), then one goroutine per shard
 // concatenates its chunk-local postings in stream order (phase 2), so every
-// posting list comes out ascending and deduplicated exactly like
-// BuildIndex's.
+// posting list comes out ascending and deduplicated, exactly as a serial
+// tuple-major scan would produce it.
 func BuildSharded(db *relational.DB, opts ShardedOptions) *Sharded {
 	numShards := opts.NumShards
 	if numShards <= 0 {
@@ -116,7 +111,7 @@ func BuildSharded(db *relational.DB, opts ShardedOptions) *Sharded {
 
 	// Phase 2: one goroutine per shard replays the stream in chunk order.
 	// Chunk tuple ranges are disjoint and ascending per relation, so plain
-	// concatenation preserves the flat index's posting order and dedup.
+	// concatenation preserves the serial scan's posting order and dedup.
 	_ = searchexec.ForEach(numShards, numShards, func(s int) error {
 		shard := make(map[string]map[string][]relational.TupleID)
 		for i, ch := range chunks {
@@ -173,46 +168,4 @@ func (idx *Sharded) postings(rel, token string) []relational.TupleID {
 		return nil
 	}
 	return relMap[token]
-}
-
-// Lookup returns the tuples of one relation containing every keyword
-// (logical AND over tokens). Each keyword's posting list is fetched from
-// the one shard it hashes to (a pair of map probes — far too cheap to be
-// worth a goroutine per keyword), then intersected in keyword order
-// exactly like the flat index. Query-level parallelism lives one level up,
-// in SearchAll's per-relation fan-out.
-func (idx *Sharded) Lookup(rel string, keywords []string) []relational.TupleID {
-	if !idx.known[rel] || len(keywords) == 0 {
-		return nil
-	}
-	var acc []relational.TupleID
-	for i, kw := range keywords {
-		list := idx.postings(rel, strings.ToLower(kw))
-		if len(list) == 0 {
-			return nil
-		}
-		if i == 0 {
-			acc = append([]relational.TupleID(nil), list...)
-			continue
-		}
-		acc = intersect(acc, list)
-		if len(acc) == 0 {
-			return nil
-		}
-	}
-	return acc
-}
-
-// Search ranks one relation's candidates best-first, identical to
-// (*Index).Search. Like the flat layout it drains SearchStream, so the
-// materialized and streaming surfaces share one code path.
-func (idx *Sharded) Search(dsRel string, query string, scores relational.DBScores) []Match {
-	return drainStream(idx.SearchStream(dsRel, query, scores))
-}
-
-// SearchAll builds one frontier per relation across a worker pool and
-// drains their lazy best-first merge into the flat index's global order
-// (score desc, relation asc, tuple asc).
-func (idx *Sharded) SearchAll(query string, scores relational.DBScores) []Match {
-	return drainStream(idx.SearchAllStream(query, scores))
 }

@@ -3,16 +3,15 @@ package keyword
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 
 	"sizelos/internal/datagen"
 	"sizelos/internal/relational"
 )
 
-// equalityShardCounts are the partition counts the flat/sharded contract is
-// verified under: degenerate (1), typical (4), and a prime that misaligns
-// with every power-of-two hash pattern (17).
+// equalityShardCounts are the partition counts the index is verified
+// under: degenerate (1), typical (4), and a prime that misaligns with every
+// power-of-two hash pattern (17).
 var equalityShardCounts = []int{1, 4, 17}
 
 func equalityDBs(t *testing.T) map[string]*relational.DB {
@@ -34,8 +33,8 @@ func equalityDBs(t *testing.T) map[string]*relational.DB {
 }
 
 // syntheticScores fabricates a deterministic, collision-rich score table so
-// ranking equality is tested without running the rank engine: many tuples
-// share a score (exercising tie-breaks), the rest spread out.
+// ranking is tested without running the rank engine: many tuples share a
+// score (exercising tie-breaks), the rest spread out.
 func syntheticScores(db *relational.DB) relational.DBScores {
 	scores := make(relational.DBScores, len(db.Relations))
 	for _, rel := range db.Relations {
@@ -48,88 +47,24 @@ func syntheticScores(db *relational.DB) relational.DBScores {
 	return scores
 }
 
-// corpusTokens returns every (relation, token) pair of the flat index,
-// sorted for reproducible iteration.
-func corpusTokens(idx *Index) [][2]string {
-	var out [][2]string
-	for rel, tokens := range idx.postings {
-		for tok := range tokens {
-			out = append(out, [2]string{rel, tok})
-		}
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a][0] != out[b][0] {
-			return out[a][0] < out[b][0]
-		}
-		return out[a][1] < out[b][1]
-	})
-	return out
-}
-
-// TestShardedEqualsFlat drives every query the corpus can express — every
-// single-token lookup, AND pairs, ranked Search and SearchAll — through the
-// flat and sharded indexes at shard counts {1, 4, 17} on the DBLP and TPC-H
-// fixtures, requiring identical results throughout.
+// TestShardedEqualsFlat builds the index at shard counts {1, 4, 17} on the
+// DBLP and TPC-H fixtures, with one tokenizer worker and with a pool, and
+// requires each to match the brute-force oracle — same posting lists, same
+// ranked answers — so the flat (one-shard, one-worker) layout and every
+// partitioned one are interchangeable.
 func TestShardedEqualsFlat(t *testing.T) {
 	for name, db := range equalityDBs(t) {
 		t.Run(name, func(t *testing.T) {
-			flat := BuildIndex(db)
+			o := newOracle(db)
 			scores := syntheticScores(db)
-			pairs := corpusTokens(flat)
-			if len(pairs) == 0 {
-				t.Fatal("fixture produced an empty corpus")
-			}
 			for _, numShards := range equalityShardCounts {
 				t.Run(fmt.Sprintf("shards=%d", numShards), func(t *testing.T) {
-					sharded := BuildSharded(db, ShardedOptions{NumShards: numShards})
-					if got := sharded.NumShards(); got != numShards {
-						t.Fatalf("NumShards = %d, want %d", got, numShards)
-					}
-					for _, p := range pairs {
-						rel, tok := p[0], p[1]
-						want := flat.Lookup(rel, []string{tok})
-						got := sharded.Lookup(rel, []string{tok})
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("Lookup(%s, %q): sharded %v != flat %v", rel, tok, got, want)
+					for _, workers := range []int{1, 3} {
+						sharded := BuildSharded(db, ShardedOptions{NumShards: numShards, Workers: workers})
+						if got := sharded.NumShards(); got != numShards {
+							t.Fatalf("NumShards = %d, want %d", got, numShards)
 						}
-						wantM := flat.Search(rel, tok, scores)
-						gotM := sharded.Search(rel, tok, scores)
-						if !reflect.DeepEqual(gotM, wantM) {
-							t.Fatalf("Search(%s, %q): sharded %+v != flat %+v", rel, tok, gotM, wantM)
-						}
-					}
-					// AND pairs: adjacent corpus tokens of the same relation
-					// (mixes shared-tuple hits and guaranteed misses).
-					for i := 1; i < len(pairs); i++ {
-						if pairs[i][0] != pairs[i-1][0] {
-							continue
-						}
-						rel := pairs[i][0]
-						kws := []string{pairs[i-1][1], pairs[i][1]}
-						want := flat.Lookup(rel, kws)
-						got := sharded.Lookup(rel, kws)
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("Lookup(%s, %v): sharded %v != flat %v", rel, kws, got, want)
-						}
-					}
-					// Cross-relation SearchAll on a spread of tokens.
-					for i := 0; i < len(pairs); i += 1 + len(pairs)/64 {
-						tok := pairs[i][1]
-						want := flat.SearchAll(tok, scores)
-						got := sharded.SearchAll(tok, scores)
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("SearchAll(%q): sharded %+v != flat %+v", tok, got, want)
-						}
-					}
-					// Misses and edge cases behave identically too.
-					if got := sharded.Lookup("NoSuchRelation", []string{"x"}); got != nil {
-						t.Errorf("unknown relation: got %v, want nil", got)
-					}
-					if got := sharded.Lookup(db.Relations[0].Name, nil); got != nil {
-						t.Errorf("empty keywords: got %v, want nil", got)
-					}
-					if got := sharded.SearchAll("zzz-no-such-token-zzz", scores); got != nil {
-						t.Errorf("miss SearchAll: got %v, want nil", got)
+						checkOracle(t, fmt.Sprintf("%s/shards=%d/workers=%d", name, numShards, workers), sharded, o, scores)
 					}
 				})
 			}
@@ -146,7 +81,48 @@ func TestShardedDefaultOptions(t *testing.T) {
 		t.Fatalf("NumShards = %d", idx.NumShards())
 	}
 	want := []relational.TupleID{0, 1}
-	if got := idx.Lookup("Author", []string{"faloutsos"}); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Lookup = %v, want %v", got, want)
+	if got := lookup(idx, "Author", "faloutsos"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("lookup = %v, want %v", got, want)
+	}
+}
+
+// TestBuildShardedNothingToIndex builds over databases that hold no
+// tokenizable content — no relations, relations with no tuples, and tuples
+// only in relations without a string column — at one worker and a pool, one
+// shard and several, and requires every lookup to match nothing.
+func TestBuildShardedNothingToIndex(t *testing.T) {
+	ids := relational.MustNewRelation("Ids",
+		[]relational.Column{{Name: "id", Kind: relational.KindInt}}, "id", nil)
+	ids.MustInsert(relational.Tuple{relational.IntVal(7)})
+	withTuples := relational.NewDB("ints")
+	withTuples.MustAddRelation(ids)
+	schemaOnly := relational.NewDB("schema")
+	schemaOnly.MustAddRelation(relational.MustNewRelation("Author",
+		[]relational.Column{
+			{Name: "id", Kind: relational.KindInt},
+			{Name: "name", Kind: relational.KindString},
+		}, "id", nil))
+	dbs := map[string]*relational.DB{
+		"empty":          relational.NewDB("empty"),
+		"schema-only":    schemaOnly,
+		"no-string-cols": withTuples,
+	}
+	for name, db := range dbs {
+		for _, numShards := range []int{1, 4} {
+			for _, workers := range []int{1, 3} {
+				idx := BuildSharded(db, ShardedOptions{NumShards: numShards, Workers: workers})
+				if p := postingsOf(t, idx); len(p) != 0 {
+					t.Fatalf("%s shards=%d workers=%d: postings %v, want none", name, numShards, workers, p)
+				}
+				for _, rel := range []string{"Author", "Ids", "Nope"} {
+					if got := lookup(idx, rel, "7 faloutsos"); got != nil {
+						t.Fatalf("%s shards=%d workers=%d: lookup(%s) = %v, want nothing", name, numShards, workers, rel, got)
+					}
+					if got := lookup(idx, rel, "faloutsos"); got != nil {
+						t.Fatalf("%s shards=%d workers=%d: lookup(%s) = %v, want nothing", name, numShards, workers, rel, got)
+					}
+				}
+			}
+		}
 	}
 }

@@ -4,34 +4,20 @@ import (
 	"strings"
 
 	"sizelos/internal/relational"
-	"sizelos/internal/searchexec"
 )
 
-// This file is the streaming query side of the index: instead of
-// materializing and sorting the full match set (Search/SearchAll), a
-// MatchStream produces each next-best match on demand. The composition is
+// This file is the query side of the index: instead of materializing and
+// sorting the full match set, a MatchStream produces each next-best match
+// on demand. The composition is
 //
 //	posting lists -> lazy k-way intersection -> best-first frontier -> pop
 //
-// The intersection never materializes intermediate per-keyword results (the
-// old Lookup allocated one accumulator slice per keyword step); candidates
-// flow one id at a time into a binary-heap frontier built in O(n), and each
-// pop costs O(log n). A caller consuming k of n matches therefore pays
-// O(n + k log n) instead of the O(n log n) full sort — and, one layer up,
-// the engine computes summaries only for the k matches actually pulled.
-
-// MatchStream is a pull cursor over keyword matches in best-first order
-// (score desc, relation asc, tuple asc — the same total order Search and
-// SearchAll return). Next yields the next-best match until exhausted.
-// Streams are single-consumer and must not be advanced concurrently with
-// index mutation; the engine pins one consistent state via its read lock
-// and epoch checks.
-type MatchStream interface {
-	// Next pops the next-best match; ok is false when the stream is dry.
-	Next() (m Match, ok bool)
-	// Remaining reports how many matches the stream still holds.
-	Remaining() int
-}
+// The intersection never materializes intermediate per-keyword results;
+// candidates flow one id at a time into a binary-heap frontier built in
+// O(n), and each pop costs O(log n). A caller consuming k of n matches
+// therefore pays O(n + k log n) instead of the O(n log n) full sort — and,
+// one layer up, the engine computes summaries only for the k matches
+// actually pulled.
 
 // intersection walks k ascending posting lists in lockstep and emits the
 // ids common to all of them, ascending, one at a time. Lists are probed by
@@ -113,21 +99,22 @@ func gallop(list []relational.TupleID, from int, target relational.TupleID) int 
 	return lo
 }
 
-// frontierStream is the per-relation best-first frontier: the candidate
-// (tuple, score) pairs arranged as a binary heap ordered by matchLess.
-// Building it is O(n); each Next pops the root in O(log n).
-type frontierStream struct {
+// MatchStream is a pull cursor over one relation's keyword matches in
+// best-first order (score desc, tuple asc): the candidate (tuple, score)
+// pairs arranged as a binary heap ordered by matchLess. Building it is
+// O(n); each Next pops the root in O(log n). Streams are single-consumer
+// and must not be advanced concurrently with index mutation; the engine
+// pins one consistent state via its read lock and epoch checks.
+type MatchStream struct {
 	heap []Match
 }
 
-var _ MatchStream = (*frontierStream)(nil)
-
 // newFrontier streams the lazy intersection of lists into a heap of
-// matches for one relation. Scores beyond the vector's length read as 0,
-// exactly like rankMatches.
-func newFrontier(dsRel string, lists [][]relational.TupleID, scores relational.DBScores) *frontierStream {
+// matches for one relation. Scores beyond the vector's length read as 0
+// (tuples inserted since the last re-rank).
+func newFrontier(dsRel string, lists [][]relational.TupleID, scores relational.DBScores) *MatchStream {
 	s := scores[dsRel]
-	f := &frontierStream{}
+	f := &MatchStream{}
 	it := newIntersection(lists)
 	for {
 		id, ok := it.next()
@@ -147,9 +134,11 @@ func newFrontier(dsRel string, lists [][]relational.TupleID, scores relational.D
 	return f
 }
 
-func (f *frontierStream) Remaining() int { return len(f.heap) }
+// Remaining reports how many matches the stream still holds.
+func (f *MatchStream) Remaining() int { return len(f.heap) }
 
-func (f *frontierStream) Next() (Match, bool) {
+// Next pops the next-best match; ok is false when the stream is dry.
+func (f *MatchStream) Next() (Match, bool) {
 	n := len(f.heap)
 	if n == 0 {
 		return Match{}, false
@@ -163,7 +152,7 @@ func (f *frontierStream) Next() (Match, bool) {
 	return top, true
 }
 
-func (f *frontierStream) siftDown(i int) {
+func (f *MatchStream) siftDown(i int) {
 	h := f.heap
 	n := len(h)
 	for {
@@ -183,126 +172,10 @@ func (f *frontierStream) siftDown(i int) {
 	}
 }
 
-// emptyStream is the stream of an unknown relation or unmatched keyword.
-type emptyStream struct{}
-
-var _ MatchStream = emptyStream{}
-
-func (emptyStream) Next() (Match, bool) { return Match{}, false }
-func (emptyStream) Remaining() int      { return 0 }
-
-// mergeStream lazily k-way merges per-relation streams into the global
-// best-first order. Relations are few, so a linear scan per pop beats a
-// heap — the same economics the materialized SearchAll merge used.
-type mergeStream struct {
-	streams []MatchStream
-	// heads holds each stream's next match; ok marks live entries.
-	heads []Match
-	ok    []bool
-}
-
-var _ MatchStream = (*mergeStream)(nil)
-
-func newMergeStream(streams []MatchStream) *mergeStream {
-	ms := &mergeStream{
-		streams: streams,
-		heads:   make([]Match, len(streams)),
-		ok:      make([]bool, len(streams)),
-	}
-	for i, s := range streams {
-		ms.heads[i], ms.ok[i] = s.Next()
-	}
-	return ms
-}
-
-func (ms *mergeStream) Remaining() int {
-	total := 0
-	for i, s := range ms.streams {
-		total += s.Remaining()
-		if ms.ok[i] {
-			total++
-		}
-	}
-	return total
-}
-
-func (ms *mergeStream) Next() (Match, bool) {
-	best := -1
-	for i := range ms.heads {
-		if !ms.ok[i] {
-			continue
-		}
-		if best < 0 || matchLess(ms.heads[i], ms.heads[best]) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return Match{}, false
-	}
-	m := ms.heads[best]
-	ms.heads[best], ms.ok[best] = ms.streams[best].Next()
-	return m, true
-}
-
-// drainStream materializes a stream — the shared body of the non-streaming
-// Search/SearchAll entry points, which guarantees the two surfaces can
-// never order matches differently.
-func drainStream(s MatchStream) []Match {
-	n := s.Remaining()
-	if n == 0 {
-		return nil
-	}
-	out := make([]Match, 0, n)
-	for {
-		m, ok := s.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, m)
-	}
-}
-
-// keywordLists resolves one relation's posting list per keyword from the
-// flat layout; ok=false when the relation is unknown, the query is empty,
-// or any keyword has no postings (AND semantics: the result is empty).
-func (idx *Index) keywordLists(rel string, keywords []string) ([][]relational.TupleID, bool) {
-	tokens := idx.postings[rel]
-	if tokens == nil || len(keywords) == 0 {
-		return nil, false
-	}
-	lists := make([][]relational.TupleID, len(keywords))
-	for i, kw := range keywords {
-		list := tokens[strings.ToLower(kw)]
-		if len(list) == 0 {
-			return nil, false
-		}
-		lists[i] = list
-	}
-	return lists, true
-}
-
-// SearchStream returns a pull cursor over exactly Search's matches and
-// order, produced on demand: O(n) frontier build, O(log n) per pop.
-func (idx *Index) SearchStream(dsRel, query string, scores relational.DBScores) MatchStream {
-	lists, ok := idx.keywordLists(dsRel, Tokenize(query))
-	if !ok {
-		return emptyStream{}
-	}
-	return newFrontier(dsRel, lists, scores)
-}
-
-// SearchAllStream returns a pull cursor over exactly SearchAll's matches
-// and order, lazily merging one frontier per relation.
-func (idx *Index) SearchAllStream(query string, scores relational.DBScores) MatchStream {
-	streams := make([]MatchStream, len(idx.db.Relations))
-	for i, rel := range idx.db.Relations {
-		streams[i] = idx.SearchStream(rel.Name, query, scores)
-	}
-	return newMergeStream(streams)
-}
-
 // keywordLists resolves one relation's posting list per keyword, each from
-// the one shard it hashes to; ok=false mirrors the flat layout.
+// the one shard it hashes to; ok=false when the relation is unknown, the
+// query is empty, or any keyword has no postings (AND semantics: the result
+// is empty).
 func (idx *Sharded) keywordLists(rel string, keywords []string) ([][]relational.TupleID, bool) {
 	if !idx.known[rel] || len(keywords) == 0 {
 		return nil, false
@@ -318,25 +191,15 @@ func (idx *Sharded) keywordLists(rel string, keywords []string) ([][]relational.
 	return lists, true
 }
 
-// SearchStream returns a pull cursor over exactly Search's matches and
-// order; each keyword's posting list comes from the one shard it hashes to.
-func (idx *Sharded) SearchStream(dsRel, query string, scores relational.DBScores) MatchStream {
+// SearchStream returns a pull cursor over the data-subject candidates of a
+// keyword query within dsRel — the tuples containing every query token —
+// ranked by descending global importance (ties by tuple id): the paper's Q1
+// "Faloutsos" against Author yields the three brothers, each rooting an OS.
+// O(n) frontier build, O(log n) per pop.
+func (idx *Sharded) SearchStream(dsRel, query string, scores relational.DBScores) *MatchStream {
 	lists, ok := idx.keywordLists(dsRel, Tokenize(query))
 	if !ok {
-		return emptyStream{}
+		return &MatchStream{}
 	}
 	return newFrontier(dsRel, lists, scores)
-}
-
-// SearchAllStream returns a pull cursor over exactly SearchAll's matches
-// and order. The per-relation frontiers are built across a worker pool
-// (heapify is the only O(n) cost); the merge itself is lazy.
-func (idx *Sharded) SearchAllStream(query string, scores relational.DBScores) MatchStream {
-	rels := idx.db.Relations
-	streams := make([]MatchStream, len(rels))
-	_ = searchexec.ForEach(len(rels), 0, func(i int) error {
-		streams[i] = idx.SearchStream(rels[i].Name, query, scores)
-		return nil
-	})
-	return newMergeStream(streams)
 }

@@ -2,47 +2,13 @@ package keyword
 
 import (
 	"reflect"
-	"sort"
 	"testing"
 
 	"sizelos/internal/relational"
 )
 
-// refSearch is the pre-stream reference ranking: Lookup's candidate ids
-// scored and sorted with sort.SliceStable under matchLess. Search and
-// SearchStream both must reproduce it exactly — Search now drains the
-// stream, so this independent path is what keeps the heap honest.
-func refSearch(idx *Index, dsRel, query string, scores relational.DBScores) []Match {
-	ids := idx.Lookup(dsRel, Tokenize(query))
-	if len(ids) == 0 {
-		return nil
-	}
-	s := scores[dsRel]
-	out := make([]Match, 0, len(ids))
-	for _, id := range ids {
-		m := Match{Relation: dsRel, Tuple: id}
-		if int(id) < len(s) {
-			m.Score = s[id]
-		}
-		out = append(out, m)
-	}
-	sort.SliceStable(out, func(a, b int) bool { return matchLess(out[a], out[b]) })
-	return out
-}
-
-// refSearchAll concatenates every relation's reference ranking and re-sorts
-// globally, the shape (*Index).SearchAll had before the streaming rewrite.
-func refSearchAll(idx *Index, query string, scores relational.DBScores) []Match {
-	var out []Match
-	for _, rel := range idx.db.Relations {
-		out = append(out, refSearch(idx, rel.Name, query, scores)...)
-	}
-	sort.SliceStable(out, func(a, b int) bool { return matchLess(out[a], out[b]) })
-	return out
-}
-
 // streamPrefix pulls up to n matches off a stream.
-func streamPrefix(s MatchStream, n int) []Match {
+func streamPrefix(s *MatchStream, n int) []Match {
 	var out []Match
 	for len(out) < n {
 		m, ok := s.Next()
@@ -54,26 +20,19 @@ func streamPrefix(s MatchStream, n int) []Match {
 	return out
 }
 
-// TestStreamMatchesReference proves, for every expressible single-token and
-// AND-pair query over DBLP and TPC-H at shard counts {1, 4, 17}, that the
-// streaming surface emits exactly the reference ranking — fully drained,
-// and prefix-by-prefix (every limit n yields the first n of the drain).
+// TestStreamMatchesReference proves, for a spread of single-token and
+// AND-pair queries over DBLP and TPC-H at shard counts {1, 4, 17}, that the
+// stream emits exactly the oracle's ranking — fully drained, and
+// prefix-by-prefix (every limit n yields the first n of the drain).
 func TestStreamMatchesReference(t *testing.T) {
 	for name, db := range equalityDBs(t) {
 		t.Run(name, func(t *testing.T) {
-			flat := BuildIndex(db)
+			o := newOracle(db)
 			scores := syntheticScores(db)
-			pairs := corpusTokens(flat)
+			pairs := o.corpus()
 			if len(pairs) == 0 {
 				t.Fatal("fixture produced an empty corpus")
 			}
-			var indexes []Searcher
-			indexes = append(indexes, flat)
-			for _, n := range equalityShardCounts {
-				indexes = append(indexes, BuildSharded(db, ShardedOptions{NumShards: n}))
-			}
-			labels := []string{"flat", "sharded1", "sharded4", "sharded17"}
-
 			queries := make(map[string][]string) // rel -> queries
 			for i, p := range pairs {
 				if i%7 == 0 { // thin out: the full cross product is slow
@@ -87,49 +46,22 @@ func TestStreamMatchesReference(t *testing.T) {
 				}
 				queries[rel] = append(queries[rel], "zzz-no-such-token", "")
 			}
-
-			for rel, qs := range queries {
-				for _, q := range qs {
-					want := refSearch(flat, rel, q, scores)
-					for li, idx := range indexes {
-						got := drainStream(idx.SearchStream(rel, q, scores))
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s SearchStream(%q, %q) diverged from reference", labels[li], rel, q)
+			for _, n := range equalityShardCounts {
+				idx := BuildSharded(db, ShardedOptions{NumShards: n})
+				for rel, qs := range queries {
+					for _, q := range qs {
+						want := o.search(rel, q, scores)
+						if got := drain(idx.SearchStream(rel, q, scores)); !reflect.DeepEqual(got, want) {
+							t.Fatalf("shards=%d SearchStream(%q, %q) diverged from the oracle", n, rel, q)
 						}
-						// Prefix law: limit n == first n of the drain.
-						for _, n := range []int{1, 2, 5, len(want)} {
-							if n == 0 || n > len(want) {
+						// Prefix law: limit k == first k of the drain.
+						for _, k := range []int{1, 2, 5, len(want)} {
+							if k == 0 || k > len(want) {
 								continue
 							}
-							prefix := streamPrefix(idx.SearchStream(rel, q, scores), n)
-							if !reflect.DeepEqual(prefix, want[:n]) {
-								t.Fatalf("%s SearchStream(%q, %q) limit %d != drain prefix", labels[li], rel, q, n)
-							}
-						}
-					}
-				}
-			}
-
-			// Global (SearchAll) surface on a sample of queries.
-			sampled := 0
-			for _, qs := range queries {
-				for _, q := range qs {
-					if sampled++; sampled%5 != 0 {
-						continue
-					}
-					want := refSearchAll(flat, q, scores)
-					for li, idx := range indexes {
-						got := drainStream(idx.SearchAllStream(q, scores))
-						if len(got) == 0 && len(want) == 0 {
-							continue
-						}
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s SearchAllStream(%q) diverged from reference", labels[li], q)
-						}
-						if n := 3; len(want) >= n {
-							prefix := streamPrefix(idx.SearchAllStream(q, scores), n)
-							if !reflect.DeepEqual(prefix, want[:n]) {
-								t.Fatalf("%s SearchAllStream(%q) limit %d != drain prefix", labels[li], q, n)
+							prefix := streamPrefix(idx.SearchStream(rel, q, scores), k)
+							if !reflect.DeepEqual(prefix, want[:k]) {
+								t.Fatalf("shards=%d SearchStream(%q, %q) limit %d != drain prefix", n, rel, q, k)
 							}
 						}
 					}
@@ -140,41 +72,38 @@ func TestStreamMatchesReference(t *testing.T) {
 }
 
 // TestStreamRemaining pins the Remaining contract: it starts at the match
-// count and decrements by exactly one per pop, on both single-relation and
-// merged streams.
+// count and decrements by exactly one per pop.
 func TestStreamRemaining(t *testing.T) {
 	for _, db := range equalityDBs(t) {
-		idx := BuildIndex(db)
+		idx := BuildSharded(db, ShardedOptions{NumShards: 4})
 		scores := syntheticScores(db)
-		pairs := corpusTokens(idx)
+		pairs := newOracle(db).corpus()
 		for i, p := range pairs {
 			if i%37 != 0 {
 				continue
 			}
-			for _, open := range []func() MatchStream{
-				func() MatchStream { return idx.SearchStream(p[0], p[1], scores) },
-				func() MatchStream { return idx.SearchAllStream(p[1], scores) },
-			} {
-				s := open()
-				n := s.Remaining()
-				for k := 0; k < n; k++ {
-					if _, ok := s.Next(); !ok {
-						t.Fatalf("stream dried up at %d of %d", k, n)
-					}
-					if got := s.Remaining(); got != n-k-1 {
-						t.Fatalf("Remaining after %d pops = %d, want %d", k+1, got, n-k-1)
-					}
+			s := idx.SearchStream(p[0], p[1], scores)
+			n := s.Remaining()
+			if n == 0 {
+				t.Fatalf("corpus token %q of %s has no matches", p[1], p[0])
+			}
+			for k := 0; k < n; k++ {
+				if _, ok := s.Next(); !ok {
+					t.Fatalf("stream dried up at %d of %d", k, n)
 				}
-				if _, ok := s.Next(); ok {
-					t.Fatal("stream yielded past Remaining()==0")
+				if got := s.Remaining(); got != n-k-1 {
+					t.Fatalf("Remaining after %d pops = %d, want %d", k+1, got, n-k-1)
 				}
+			}
+			if _, ok := s.Next(); ok {
+				t.Fatal("stream yielded past Remaining()==0")
 			}
 		}
 	}
 }
 
-// TestIntersectionCursor checks the lazy galloping intersection against the
-// materialized intersect() on adversarial list shapes: disjoint, nested,
+// TestIntersectionCursor checks the lazy galloping intersection against a
+// set-membership reference on adversarial list shapes: disjoint, nested,
 // skewed lengths, shared prefixes/suffixes, singletons.
 func TestIntersectionCursor(t *testing.T) {
 	mk := func(ids ...int) []relational.TupleID {
@@ -198,33 +127,21 @@ func TestIntersectionCursor(t *testing.T) {
 		{mk(7), long},
 	}
 	for ci, c := range cases {
-		want := intersect(c[0], c[1])
-		it := newIntersection([][]relational.TupleID{c[0], c[1]})
-		var got []relational.TupleID
-		for {
-			id, ok := it.next()
-			if !ok {
-				break
-			}
-			got = append(got, id)
+		in := make(map[relational.TupleID]bool, len(c[1]))
+		for _, id := range c[1] {
+			in[id] = true
 		}
-		if !reflect.DeepEqual(got, want) {
+		var want []relational.TupleID
+		for _, id := range c[0] {
+			if in[id] {
+				want = append(want, id)
+			}
+		}
+		if got := intersectAll(c[0], c[1]); !reflect.DeepEqual(got, want) {
 			t.Fatalf("case %d: lazy intersection %v, want %v", ci, got, want)
 		}
 		// Three-way: intersect with itself must be idempotent.
-		it3 := newIntersection([][]relational.TupleID{c[0], c[1], c[1]})
-		got = got[:0]
-		for {
-			id, ok := it3.next()
-			if !ok {
-				break
-			}
-			got = append(got, id)
-		}
-		if len(got) == 0 {
-			got = nil
-		}
-		if !reflect.DeepEqual(got, want) {
+		if got := intersectAll(c[0], c[1], c[1]); !reflect.DeepEqual(got, want) {
 			t.Fatalf("case %d: three-way lazy intersection %v, want %v", ci, got, want)
 		}
 	}

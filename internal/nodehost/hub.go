@@ -11,35 +11,18 @@ import (
 	"sizelos/internal/tenancy"
 )
 
-// Config carries the deployment-wide knobs every engine a node builds or
-// recovers is tuned with.
+// Config carries the node-local seed default and hooks that every engine
+// a node builds or recovers goes through.
 type Config struct {
 	// DefaultSeed is the dataset generator seed used when a spec does not
 	// pin its own (spec.Seed <= 0).
 	DefaultSeed int64
-	// ResidualWorkers pins every engine's parallel residual-push worker
-	// count; 0 leaves the engine's auto-sizing in place. Any value serves
-	// bit-identical scores.
-	ResidualWorkers int
 	// Open overrides fresh dataset construction (tests substitute tiny
 	// recipes); nil means OpenDataset. The override must be deterministic
 	// in (dataset, seed) — recovery rebuilds through it.
 	Open func(dataset string, seed int64) (*sizelos.Engine, error)
 	// Logf receives operational log lines; nil means log.Printf.
 	Logf func(format string, args ...any)
-}
-
-// openDataset funnels every fresh engine build through the override seam
-// and the deployment-wide tuning knobs.
-func (c Config) openDataset(dataset string, seed int64) (*sizelos.Engine, error) {
-	if c.Open != nil {
-		eng, err := c.Open(dataset, seed)
-		if err != nil {
-			return nil, err
-		}
-		return c.tune(eng), nil
-	}
-	return OpenDataset(dataset, seed, c)
 }
 
 func (c Config) logf(format string, args ...any) {
@@ -59,37 +42,24 @@ func (c Config) resolveSeed(s int64) int64 {
 	return c.DefaultSeed
 }
 
-// tune applies the deployment-wide engine knobs; every construction path
-// funnels through it (fresh builds and snapshot restores alike).
-func (c Config) tune(eng *sizelos.Engine) *sizelos.Engine {
-	if c.ResidualWorkers != 0 {
-		eng.SetResidualWorkers(c.ResidualWorkers)
-	}
-	return eng
-}
-
-// OpenDataset builds a ready-to-serve engine for a named synthetic dataset.
+// OpenDataset builds a ready-to-serve engine for a named synthetic dataset,
+// through cfg.Open when it is set.
 func OpenDataset(dataset string, seed int64, cfg Config) (*sizelos.Engine, error) {
-	var (
-		eng *sizelos.Engine
-		err error
-	)
+	if cfg.Open != nil {
+		return cfg.Open(dataset, seed)
+	}
 	switch dataset {
 	case "dblp":
 		c := datagen.DefaultDBLPConfig()
 		c.Seed = seed
-		eng, err = sizelos.OpenDBLP(c)
+		return sizelos.OpenDBLP(c)
 	case "tpch":
 		c := datagen.DefaultTPCHConfig()
 		c.Seed = seed
-		eng, err = sizelos.OpenTPCH(c)
+		return sizelos.OpenTPCH(c)
 	default:
 		return nil, fmt.Errorf("unknown dataset %q (want dblp or tpch)", dataset)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return cfg.tune(eng), nil
 }
 
 // Restorer maps a dataset name to its snapshot-restore constructor.
@@ -147,13 +117,11 @@ func (h *Hub) Recover(spec tenancy.TenantSpec) (*sizelos.Engine, error) {
 	seed := h.cfg.resolveSeed(spec.Seed)
 	ts := h.store.Tenant(spec.Name)
 	eng, info, err := ts.Recover(restore, func() (*sizelos.Engine, error) {
-		return h.cfg.openDataset(spec.Dataset, seed)
+		return OpenDataset(spec.Dataset, seed, h.cfg)
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Snapshot-restored engines bypass OpenDataset; re-apply the knobs.
-	h.cfg.tune(eng)
 	h.mu.Lock()
 	h.tenants[spec.Name] = &hubTenant{ts: ts, eng: eng}
 	h.mu.Unlock()

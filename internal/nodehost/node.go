@@ -27,17 +27,16 @@ type Node struct {
 // loudly), and the registry's pending loader re-probes the manifest so
 // tenants recorded by other nodes sharing the directory are adopted on
 // first touch. opts carries the node-local hooks (Logf, the test-only Open
-// override); its DefaultSeed and ResidualWorkers are taken from cfg.
+// override); its DefaultSeed is taken from cfg.
 func Boot(cfg tenancy.ServerConfig, tenants []string, opts Config) (*Node, error) {
 	reg := cfg.NewRegistry()
 	hubCfg := opts
 	hubCfg.DefaultSeed = cfg.Seed
-	hubCfg.ResidualWorkers = cfg.ResidualWorkers
 	// Dynamic registration (POST /v1/tenants) builds engines with the same
 	// opener as the boot tenants; a request-supplied seed overrides the
 	// deployment default. With a data dir the recoverer supersedes this.
 	reg.SetOpener(func(dataset string, reqSeed int64) (*sizelos.Engine, error) {
-		return hubCfg.openDataset(dataset, hubCfg.resolveSeed(reqSeed))
+		return OpenDataset(dataset, hubCfg.resolveSeed(reqSeed), hubCfg)
 	})
 
 	var hub *Hub
@@ -78,7 +77,7 @@ func Boot(cfg tenancy.ServerConfig, tenants []string, opts Config) (*Node, error
 			return nil, fmt.Errorf("bad tenant definition %q (want name=dataset)", def)
 		}
 		if hub == nil {
-			eng, err := hubCfg.openDataset(dataset, cfg.Seed)
+			eng, err := OpenDataset(dataset, cfg.Seed, hubCfg)
 			if err != nil {
 				return nil, fmt.Errorf("tenant %s: %w", name, err)
 			}

@@ -303,7 +303,7 @@ func TestMutationDuringInFlightBatch(t *testing.T) {
 		t.Fatalf("Register: %v", err)
 	}
 	q := authorQuery(t, eng)
-	baseline, err := tn.Search(Query{Rel: "Author", Keywords: q, L: 4})
+	baseline, err := tn.SearchPage(Query{Rel: "Author", Keywords: q, L: 4})
 	if err != nil {
 		t.Fatalf("baseline search: %v", err)
 	}
@@ -315,7 +315,7 @@ func TestMutationDuringInFlightBatch(t *testing.T) {
 	}}}); err != nil {
 		t.Fatalf("warmup mutate: %v", err)
 	}
-	want := len(baseline) + 1 // Rotatesworth won't match q; counts stay comparable
+	want := len(baseline.Summaries) + 1 // Rotatesworth won't match q; counts stay comparable
 	_ = want
 
 	// Occupy the only pool slot.
@@ -331,8 +331,8 @@ func TestMutationDuringInFlightBatch(t *testing.T) {
 	}
 	inFlight := make(chan result, 1)
 	go func() {
-		res, err := tn.Search(Query{Rel: "Author", Keywords: q, L: 4})
-		inFlight <- result{len(res), err}
+		res, err := tn.SearchPage(Query{Rel: "Author", Keywords: q, L: 4})
+		inFlight <- result{len(res.Summaries), err}
 	}()
 	// Wait until the search is provably parked on the pool (inside its
 	// read-locked section).
@@ -365,18 +365,18 @@ func TestMutationDuringInFlightBatch(t *testing.T) {
 	if got.err != nil {
 		t.Fatalf("in-flight search: %v", got.err)
 	}
-	if got.n != len(baseline) {
-		t.Fatalf("in-flight search saw %d results, want pre-mutation %d", got.n, len(baseline))
+	if got.n != len(baseline.Summaries) {
+		t.Fatalf("in-flight search saw %d results, want pre-mutation %d", got.n, len(baseline.Summaries))
 	}
 	if err := <-mutDone; err != nil {
 		t.Fatalf("mutation: %v", err)
 	}
-	after, err := tn.Search(Query{Rel: "Author", Keywords: q, L: 4})
+	after, err := tn.SearchPage(Query{Rel: "Author", Keywords: q, L: 4})
 	if err != nil {
 		t.Fatalf("post-mutation search: %v", err)
 	}
-	if len(after) != len(baseline)+1 {
-		t.Fatalf("post-mutation search = %d results, want %d (stale cache served?)", len(after), len(baseline)+1)
+	if len(after.Summaries) != len(baseline.Summaries)+1 {
+		t.Fatalf("post-mutation search = %d results, want %d (stale cache served?)", len(after.Summaries), len(baseline.Summaries)+1)
 	}
 }
 
@@ -392,7 +392,7 @@ func TestDeregisterRacesCachedLookup(t *testing.T) {
 	}
 	q := authorQuery(t, eng)
 	tn, _ := reg.Get("victim")
-	if _, err := tn.Search(Query{Rel: "Author", Keywords: q, L: 4}); err != nil {
+	if _, err := tn.SearchPage(Query{Rel: "Author", Keywords: q, L: 4}); err != nil {
 		t.Fatalf("warm search: %v", err)
 	}
 
@@ -405,7 +405,7 @@ func TestDeregisterRacesCachedLookup(t *testing.T) {
 			<-start
 			for i := 0; i < 50; i++ {
 				if tn, ok := reg.Get("victim"); ok {
-					if _, err := tn.Search(Query{Rel: "Author", Keywords: q, L: 4}); err != nil {
+					if _, err := tn.SearchPage(Query{Rel: "Author", Keywords: q, L: 4}); err != nil {
 						t.Errorf("race search: %v", err)
 						return
 					}

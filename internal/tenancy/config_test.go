@@ -64,12 +64,16 @@ func TestLoadServerConfig(t *testing.T) {
 }
 
 func TestLoadServerConfigRejectsUnknownFields(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(path, []byte(`{"adress": ":9090"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadServerConfig(path); err == nil {
-		t.Fatal("typo'd field loaded silently; want an error")
+	// A typo, and residual_workers — a removed knob an old config may
+	// still carry — must both fail the load rather than be ignored.
+	for _, body := range []string{`{"adress": ":9090"}`, `{"residual_workers": 1}`} {
+		path := filepath.Join(t.TempDir(), "bad.json")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadServerConfig(path); err == nil {
+			t.Fatalf("unknown field in %s loaded silently; want an error", body)
+		}
 	}
 	if _, err := LoadServerConfig(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("missing file loaded silently; want an error")

@@ -120,7 +120,7 @@ type AdmissionStatsJSON struct {
 //	GET    /v1/{tenant}/stats           -> StatsResponse (never throttled)
 //
 // Common query parameters: l (summary size, default 15), setting, algo,
-// topk (search), k (ranked, default 10), limit (page size, 0 = all),
+// k (ranked, default 10), limit (page size, 0 = all),
 // cursor (opaque resume token; a mutation between pages turns the resume
 // into 410 Gone), and budget_ms (latency budget for admission shedding;
 // also accepted as the X-Sizelos-Budget-Ms header). Tenants may be
@@ -299,25 +299,21 @@ func (r *Registry) serveQuery(w http.ResponseWriter, req *http.Request, ranked b
 		writeError(w, errBadRequest("rel and q parameters are required"))
 		return
 	}
-	// k belongs to /ranked and topk to /search; accepting the other would
-	// silently do nothing (and fragment single-flight batching), so reject
-	// it outright. topk and limit are two names for the same bound — both
-	// at once is ambiguous.
-	if ranked && params.Get("topk") != "" {
-		writeError(w, errBadRequest("topk applies to /search only (use k on /ranked)"))
+	// topk, the removed legacy name of limit, is refused rather than
+	// ignored: an old client must fail loudly, not silently receive
+	// unbounded pages. k belongs to /ranked; accepting it on /search would
+	// silently do nothing (and fragment single-flight batching).
+	if params.Has("topk") {
+		writeError(w, errBadRequest("topk was removed; use limit"))
 		return
 	}
 	if !ranked && params.Get("k") != "" {
-		writeError(w, errBadRequest("k applies to /ranked only (use topk on /search)"))
+		writeError(w, errBadRequest("k applies to /ranked only (use limit on /search)"))
 		return
 	}
-	if params.Get("topk") != "" && params.Get("limit") != "" {
-		writeError(w, errBadRequest("topk is the legacy name for limit; pass one, not both"))
-		return
-	}
-	intParams := map[string]*int{"l": &q.L, "topk": &q.TopK, "limit": &q.Limit}
+	intParams := map[string]*int{"l": &q.L, "limit": &q.Limit}
 	if ranked {
-		intParams = map[string]*int{"l": &q.L, "k": &q.K, "limit": &q.Limit}
+		intParams["k"] = &q.K
 	}
 	var badParam string
 	for name, dst := range intParams {

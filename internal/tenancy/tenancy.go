@@ -621,11 +621,8 @@ type Query struct {
 	Keywords string
 	// L is the summary size.
 	L int
-	// K caps Ranked results (Ranked only).
+	// K caps ranked results (RankedPage only).
 	K int
-	// TopK is the historical name for Limit (Search only); when Limit is
-	// zero it is honored as the page bound. Prefer Limit.
-	TopK int
 	// Limit bounds how many summaries one page carries (0 = all). The
 	// engine computes only the served page plus any tombstone backfill —
 	// unconsumed matches cost nothing.
@@ -643,17 +640,13 @@ type Query struct {
 // request lowers the tenant query onto the engine's unified QueryRequest,
 // wiring in the shared pool and the tenant's cache scope.
 func (q Query) request(t *Tenant) sizelos.QueryRequest {
-	limit := q.Limit
-	if limit == 0 {
-		limit = q.TopK
-	}
 	return sizelos.QueryRequest{
 		Rel:        q.Rel,
 		Query:      q.Keywords,
 		L:          q.L,
 		Setting:    q.Setting,
 		Algorithm:  sizelos.Algorithm(q.Algorithm),
-		Limit:      limit,
+		Limit:      q.Limit,
 		Cursor:     q.Cursor,
 		Pool:       t.pool,
 		CacheScope: t.Name,
@@ -670,8 +663,8 @@ func (q Query) request(t *Tenant) sizelos.QueryRequest {
 // Limit and Cursor participate too: different pages of one query are
 // different computations.
 func (q Query) key(kind string, t *Tenant) string {
-	return fmt.Sprintf("%s\x00%s\x00%s\x00%d\x00%d\x00%d\x00%d\x00%s\x00%s\x00%s\x00%d",
-		kind, q.Rel, q.Keywords, q.L, q.K, q.TopK, q.Limit, q.Cursor,
+	return fmt.Sprintf("%s\x00%s\x00%s\x00%d\x00%d\x00%d\x00%s\x00%s\x00%s\x00%d",
+		kind, q.Rel, q.Keywords, q.L, q.K, q.Limit, q.Cursor,
 		q.Setting, q.Algorithm, t.Engine.EpochFor(q.Rel))
 }
 
@@ -687,17 +680,10 @@ type Page struct {
 	Stats sizelos.QueryStats
 }
 
-// Search runs the tenant's keyword search through the shared pool.
-// Concurrent identical queries are batched: one computation runs, every
-// caller receives the same summaries (read-only by the engine's cache
-// contract).
-func (t *Tenant) Search(q Query) ([]sizelos.Summary, error) {
-	p, err := t.SearchPage(q)
-	return p.Summaries, err
-}
-
-// SearchPage is Search with paging: it serves q's page (Limit/Cursor) plus
-// the resume cursor, with the same single-flight batching.
+// SearchPage runs the tenant's keyword search through the shared pool: it
+// serves q's page (Limit/Cursor) plus the resume cursor. Concurrent
+// identical queries are batched: one computation runs, every caller
+// receives the same summaries (read-only by the engine's cache contract).
 func (t *Tenant) SearchPage(q Query) (Page, error) {
 	return t.flight.do(q.key("search", t), func() (Page, error) {
 		sums, cursor, stats, err := t.Engine.QueryPage(q.request(t))
@@ -716,14 +702,9 @@ func (t *Tenant) Mutate(b sizelos.MutationBatch) (sizelos.MutationResult, error)
 	return t.Engine.Mutate(b)
 }
 
-// Ranked runs the tenant's top-k ranked search (rank by Im(S) of the
-// size-l OS) with the same pooling and batching as Search.
-func (t *Tenant) Ranked(q Query) ([]sizelos.Summary, error) {
-	p, err := t.RankedPage(q)
-	return p.Summaries, err
-}
-
-// RankedPage is Ranked with paging through the ranked k (Limit/Cursor).
+// RankedPage runs the tenant's top-k ranked search (rank by Im(S) of the
+// size-l OS) with the same pooling and batching as SearchPage, paging
+// through the ranked k (Limit/Cursor).
 func (t *Tenant) RankedPage(q Query) (Page, error) {
 	// Default K before building the flight key so an omitted k and an
 	// explicit k=10 batch as the identical computation they are.

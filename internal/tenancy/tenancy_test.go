@@ -114,14 +114,15 @@ func TestTenantSearchMatchesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := authorQuery(t, eng)
-	want, err := eng.Search("Author", q, 10, sizelos.SearchOptions{})
+	want, _, _, err := eng.QueryPage(sizelos.QueryRequest{Rel: "Author", Query: q, L: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := tn.Search(Query{Rel: "Author", Keywords: q, L: 10})
+	page, err := tn.SearchPage(Query{Rel: "Author", Keywords: q, L: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := page.Summaries
 	if len(got) != len(want) {
 		t.Fatalf("tenant search returned %d results, engine %d", len(got), len(want))
 	}
@@ -223,7 +224,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	if sr.Tenant != "acme" || sr.Count == 0 || sr.Count != len(sr.Results) {
 		t.Fatalf("search response: %+v", sr)
 	}
-	want, err := eng.Search("Author", q, 8, sizelos.SearchOptions{})
+	want, _, _, err := eng.QueryPage(sizelos.QueryRequest{Rel: "Author", Query: q, L: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	get(t, fmt.Sprintf("/v1/acme/ranked?rel=Author&q=%s&algo=quantum", q), http.StatusBadRequest, nil)
 	// Parameters of the other endpoint are rejected, not silently ignored.
 	get(t, fmt.Sprintf("/v1/acme/search?rel=Author&q=%s&k=2", q), http.StatusBadRequest, nil)
-	get(t, fmt.Sprintf("/v1/acme/ranked?rel=Author&q=%s&topk=2", q), http.StatusBadRequest, nil)
+	get(t, fmt.Sprintf("/v1/acme/search?rel=Author&q=%s&topk=2", q), http.StatusBadRequest, nil)
 	// Explicit k=0 is invalid like the engine says, not coerced to 10.
 	get(t, fmt.Sprintf("/v1/acme/ranked?rel=Author&q=%s&k=0", q), http.StatusBadRequest, nil)
 }
@@ -274,7 +275,7 @@ func TestDuplicateRegisterPreservesCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := authorQuery(t, eng)
-	if _, err := tn.Search(Query{Rel: "Author", Keywords: q, L: 6}); err != nil {
+	if _, err := tn.SearchPage(Query{Rel: "Author", Keywords: q, L: 6}); err != nil {
 		t.Fatal(err)
 	}
 	before, ok := eng.SummaryCacheStats()
@@ -301,7 +302,7 @@ func TestSharedEngineKeepsFirstBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := authorQuery(t, eng)
-	if _, err := first.Search(Query{Rel: "Author", Keywords: q, L: 6}); err != nil {
+	if _, err := first.SearchPage(Query{Rel: "Author", Keywords: q, L: 6}); err != nil {
 		t.Fatal(err)
 	}
 	before, ok := eng.SummaryCacheStats()

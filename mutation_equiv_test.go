@@ -99,10 +99,10 @@ func runEquivalence(t *testing.T, eng *Engine, settings []Setting, seed int64, r
 	t.Logf("mutation-equivalence seed %d (replay: SIZELOS_EQUIV_SEED=%d)", seed, seed)
 	var shadows []*Engine
 	if mkShadow != nil {
-		eng.SetResidualWorkers(1)
+		eng.residualWorkers = 1
 		for _, w := range equivWorkerCounts {
 			sh := mkShadow()
-			sh.SetResidualWorkers(w)
+			sh.residualWorkers = w
 			shadows = append(shadows, sh)
 		}
 	}
@@ -275,12 +275,12 @@ func TestMutationEquivalenceUnderCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenDBLP: %v", err)
 	}
-	eng.SetCompactionPolicy(6, 0.01)
+	eng.compactMin, eng.compactRatio = 6, 0.01
 	eng.EnableSummaryCache(64)
 	seed := equivSeed(t) + 2
 	runEquivalence(t, eng, DefaultSettings(datagen.DBLPGA1(), datagen.DBLPGA2()), seed, equivRounds, nil)
 	// The pipeline still serves correct summaries after all that churn.
-	if _, err := eng.Search("Author", "Faloutsos", 5, SearchOptions{}); err != nil {
+	if _, _, _, err := eng.QueryPage(QueryRequest{Rel: "Author", Query: "Faloutsos", L: 5}); err != nil {
 		t.Fatalf("post-harness search: %v", err)
 	}
 }

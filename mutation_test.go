@@ -48,7 +48,7 @@ func TestMutateFreshSearchResults(t *testing.T) {
 	eng := mutableDBLP(t)
 	eng.EnableSummaryCache(256)
 
-	if res, err := eng.Search("Author", "Zephyrhopper", 5, SearchOptions{}); err != nil || len(res) != 0 {
+	if res, _, _, err := eng.QueryPage(QueryRequest{Rel: "Author", Query: "Zephyrhopper", L: 5}); err != nil || len(res) != 0 {
 		t.Fatalf("pre-insert search = %d results, err %v", len(res), err)
 	}
 	mres, err := eng.Mutate(insertAuthorBatch(t, eng, 900001, "Grace Zephyrhopper", "A Singular Treatise"))
@@ -62,7 +62,7 @@ func TestMutateFreshSearchResults(t *testing.T) {
 		t.Fatalf("epochs not advanced: %v", mres.Epochs)
 	}
 
-	res, err := eng.Search("Author", "Zephyrhopper", 5, SearchOptions{})
+	res, _, _, err := eng.QueryPage(QueryRequest{Rel: "Author", Query: "Zephyrhopper", L: 5})
 	if err != nil {
 		t.Fatalf("post-insert search: %v", err)
 	}
@@ -73,7 +73,7 @@ func TestMutateFreshSearchResults(t *testing.T) {
 		t.Fatalf("summary does not reach the inserted paper:\n%s", res[0].Text)
 	}
 	// The fresh result must be served from cache on repeat, still fresh.
-	res2, err := eng.Search("Author", "Zephyrhopper", 5, SearchOptions{})
+	res2, _, _, err := eng.QueryPage(QueryRequest{Rel: "Author", Query: "Zephyrhopper", L: 5})
 	if err != nil || len(res2) != 1 || res2[0].Text != res[0].Text {
 		t.Fatalf("repeat search diverged: %v %+v", err, res2)
 	}
@@ -87,7 +87,7 @@ func TestMutateFreshSearchResults(t *testing.T) {
 	if _, err := eng.Mutate(del); err != nil {
 		t.Fatalf("Mutate delete: %v", err)
 	}
-	if res, err := eng.Search("Author", "Zephyrhopper", 5, SearchOptions{}); err != nil || len(res) != 0 {
+	if res, _, _, err := eng.QueryPage(QueryRequest{Rel: "Author", Query: "Zephyrhopper", L: 5}); err != nil || len(res) != 0 {
 		t.Fatalf("post-delete search = %d results, err %v", len(res), err)
 	}
 	if _, err := eng.SizeL("Author", authorID, 5, SearchOptions{}); err == nil {
@@ -113,7 +113,7 @@ func TestMutatePreciseInvalidation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Conference SizeL: %v", err)
 		}
-		a, err := eng.Search("Author", "Faloutsos", 6, SearchOptions{})
+		a, _, _, err := eng.QueryPage(QueryRequest{Rel: "Author", Query: "Faloutsos", L: 6})
 		if err != nil || len(a) == 0 {
 			t.Fatalf("Author search: %v (%d results)", err, len(a))
 		}
@@ -155,7 +155,7 @@ func TestMutatePreciseInvalidation(t *testing.T) {
 	if mid.Misses != before.Misses {
 		t.Fatalf("Conference lookup missed: %+v -> %+v", before, mid)
 	}
-	if _, err := eng.Search("Author", "Faloutsos", 6, SearchOptions{}); err != nil {
+	if _, _, _, err := eng.QueryPage(QueryRequest{Rel: "Author", Query: "Faloutsos", L: 6}); err != nil {
 		t.Fatalf("Author search after mutation: %v", err)
 	}
 	after, _ := eng.SummaryCacheStats()
@@ -217,7 +217,7 @@ func TestMutateAtomicOnEngine(t *testing.T) {
 	if eng.Epoch("Author") != epoch0 {
 		t.Fatal("failed batch advanced an epoch")
 	}
-	if res, err := eng.Search("Author", "Doneski", 4, SearchOptions{}); err != nil || len(res) != 0 {
+	if res, _, _, err := eng.QueryPage(QueryRequest{Rel: "Author", Query: "Doneski", L: 4}); err != nil || len(res) != 0 {
 		t.Fatalf("rolled-back insert visible to search: %v %v", res, err)
 	}
 }
@@ -235,7 +235,7 @@ func TestMutateDeletesInDescendingOrder(t *testing.T) {
 	}}); err != nil {
 		t.Fatalf("Mutate insert: %v", err)
 	}
-	if res, err := eng.Search("Author", "Postingworth", 4, SearchOptions{}); err != nil || len(res) != 2 {
+	if res, _, _, err := eng.QueryPage(QueryRequest{Rel: "Author", Query: "Postingworth", L: 4}); err != nil || len(res) != 2 {
 		t.Fatalf("pre-delete search: %d results, err %v", len(res), err)
 	}
 	if _, err := eng.Mutate(MutationBatch{Deletes: []TupleDelete{
@@ -244,7 +244,7 @@ func TestMutateDeletesInDescendingOrder(t *testing.T) {
 	}}); err != nil {
 		t.Fatalf("Mutate delete: %v", err)
 	}
-	res, err := eng.Search("Author", "Postingworth", 4, SearchOptions{})
+	res, _, _, err := eng.QueryPage(QueryRequest{Rel: "Author", Query: "Postingworth", L: 4})
 	if err != nil {
 		t.Fatalf("post-delete search errored (ghost posting): %v", err)
 	}
@@ -309,7 +309,7 @@ func TestMutateConcurrentWithSearches(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := eng.Search("Author", queries[(i+w)%len(queries)], 5, SearchOptions{Parallel: 2}); err != nil {
+				if _, _, _, err := eng.QueryPage(QueryRequest{Rel: "Author", Query: queries[(i+w)%len(queries)], L: 5, Parallel: 2}); err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
 				}
@@ -321,7 +321,7 @@ func TestMutateConcurrentWithSearches(t *testing.T) {
 		if _, err := eng.Mutate(insertAuthorBatch(t, eng, 940001+10*int64(r), name, "Parallel Epochs")); err != nil {
 			t.Fatalf("round %d: Mutate: %v", r, err)
 		}
-		res, err := eng.Search("Author", fmt.Sprintf("Concurrentia%d", r), 5, SearchOptions{})
+		res, _, _, err := eng.QueryPage(QueryRequest{Rel: "Author", Query: fmt.Sprintf("Concurrentia%d", r), L: 5})
 		if err != nil || len(res) != 1 {
 			t.Fatalf("round %d: post-mutation search = %d results, err %v", r, len(res), err)
 		}
@@ -389,7 +389,7 @@ func TestMutateRerankWarmStats(t *testing.T) {
 func TestAutoCompaction(t *testing.T) {
 	eng := mutableDBLP(t)
 	eng.EnableSummaryCache(64)
-	eng.SetCompactionPolicy(5, 0.02)
+	eng.compactMin, eng.compactRatio = 5, 0.02
 	var ins []TupleInsert
 	for i := 0; i < 8; i++ {
 		ins = append(ins, TupleInsert{
@@ -420,10 +420,10 @@ func TestAutoCompaction(t *testing.T) {
 	if got := eng.DB().Relation("Author").Tombstones(); got != 0 {
 		t.Fatalf("tombstones after compaction = %d", got)
 	}
-	if res, err := eng.Search("Author", "Compactsdottir", 4, SearchOptions{}); err != nil || len(res) != 0 {
+	if res, _, _, err := eng.QueryPage(QueryRequest{Rel: "Author", Query: "Compactsdottir", L: 4}); err != nil || len(res) != 0 {
 		t.Fatalf("ghost postings after compaction: %d results, err %v", len(res), err)
 	}
-	got, err := eng.Search("Author", "Faloutsos", 6, SearchOptions{})
+	got, _, _, err := eng.QueryPage(QueryRequest{Rel: "Author", Query: "Faloutsos", L: 6})
 	if err != nil || len(got) == 0 {
 		t.Fatalf("post-compaction search: %v (%d results)", err, len(got))
 	}
@@ -457,7 +457,7 @@ func TestCompactionRemapsInsertIDsInSameBatch(t *testing.T) {
 	}
 	// Low threshold AFTER the inserts: the next batch (deletes + 1 insert)
 	// crosses it and compacts while carrying a fresh insert.
-	eng.SetCompactionPolicy(5, 0.02)
+	eng.compactMin, eng.compactRatio = 5, 0.02
 	var dels []TupleDelete
 	for i := 0; i < 8; i++ {
 		dels = append(dels, TupleDelete{Rel: "Author", PK: 985001 + int64(i)})
@@ -513,7 +513,7 @@ func TestCompactNow(t *testing.T) {
 	if again, err := eng.CompactNow(); err != nil || again != nil {
 		t.Fatalf("second CompactNow = %v, %v; want nil, nil", again, err)
 	}
-	if res, err := eng.Search("Author", "Faloutsos", 5, SearchOptions{}); err != nil || len(res) == 0 {
+	if res, _, _, err := eng.QueryPage(QueryRequest{Rel: "Author", Query: "Faloutsos", L: 5}); err != nil || len(res) == 0 {
 		t.Fatalf("search after CompactNow: %v (%d results)", err, len(res))
 	}
 }

@@ -17,9 +17,8 @@ import (
 // This file is the engine's unified query surface: one request struct, one
 // entry point, and a lazy Results stream that pipelines candidate matching
 // -> summary computation (cache-first, pool-bounded) -> size-l rendering,
-// paying only for the prefix the caller consumes. Search and RankedSearch
-// are thin wrappers that drain the same pipeline, so the old and new
-// surfaces cannot diverge.
+// paying only for the prefix the caller consumes. QueryPage drains the same
+// pipeline to one page, so the streaming and paged surfaces cannot diverge.
 
 // ErrStreamInvalidated reports that a mutation landed inside the query's
 // dependency set between pages (or between batch fills of one open
@@ -32,9 +31,8 @@ var ErrStreamInvalidated = errors.New("sizelos: stream invalidated by mutation")
 // (truncated, corrupted, or hand-built). HTTP maps it to 400 Bad Request.
 var ErrCursorMalformed = errors.New("sizelos: malformed cursor")
 
-// QueryRequest is the one-struct query surface subsuming the historical
-// Search/RankedSearch split and the SearchOptions knobs. The zero value of
-// every optional field means "default": Setting DefaultSetting, Algorithm
+// QueryRequest is the one-struct query surface. The zero value of every
+// optional field means "default": Setting DefaultSetting, Algorithm
 // AlgoTopPath, Limit 0 = no page bound, K 0 = no rank cutoff.
 type QueryRequest struct {
 	// Rel is the Data Subject relation the keywords are matched against.
@@ -50,8 +48,10 @@ type QueryRequest struct {
 	Algorithm Algorithm
 
 	// RankBySummary re-ranks candidates by the importance Im(S) of their
-	// size-l OS instead of serving them in DS global-importance order — the
-	// historical RankedSearch behavior. It must materialize every summary
+	// size-l OS instead of serving them in DS global-importance order: the
+	// combined size-l and top-k ranking of OSs the paper leaves as future
+	// work (§7), under which a DS whose neighborhood is important outranks a
+	// well-connected but shallow one. It must materialize every summary
 	// before the first result, so it cannot terminate early.
 	RankBySummary bool
 	// K, with RankBySummary, caps the ranking to the best K summaries
@@ -70,7 +70,7 @@ type QueryRequest struct {
 	Cursor string
 
 	// Complete computes from the complete OS instead of the prelim-l OS
-	// (SearchOptions.UseComplete).
+	// (SearchOptions.Complete).
 	Complete bool
 	// FromDatabase extracts tuples with database joins instead of the
 	// in-memory data graph.
@@ -88,13 +88,13 @@ type QueryRequest struct {
 	CacheScope string
 }
 
-// options lowers the request onto the legacy knob struct the internal
-// summary pipeline still speaks, with defaults filled.
+// options lowers the request onto the knob struct the summary pipeline
+// speaks, with defaults filled.
 func (req *QueryRequest) options() SearchOptions {
 	opts := SearchOptions{
 		Setting:      req.Setting,
 		Algorithm:    req.Algorithm,
-		UseComplete:  req.Complete,
+		Complete:     req.Complete,
 		FromDatabase: req.FromDatabase,
 		ShowWeights:  req.ShowWeights,
 		Parallel:     req.Parallel,
@@ -114,7 +114,7 @@ func (req *QueryRequest) fingerprint(opts SearchOptions) uint64 {
 	fmt.Fprintf(h, "%s\x00%s\x00%d\x00%s\x00%s\x00%t\x00%d\x00%t\x00%t\x00%t\x00%s",
 		req.Rel, req.Query, req.L, opts.Setting, opts.Algorithm,
 		req.RankBySummary, req.K,
-		opts.UseComplete, opts.FromDatabase, opts.ShowWeights, opts.CacheScope)
+		opts.Complete, opts.FromDatabase, opts.ShowWeights, opts.CacheScope)
 	return h.Sum64()
 }
 
@@ -178,11 +178,11 @@ type Results struct {
 	// epoch is the dependency-set epoch the stream bound to at open.
 	epoch uint64
 	// stream yields keyword matches best-first; nil once Closed.
-	stream keyword.MatchStream
+	stream *keyword.MatchStream
 
 	// holdLock marks a Results opened and drained entirely under the
-	// engine read lock the caller already holds (the legacy wrappers and
-	// QueryPage); fills must not re-acquire it.
+	// engine read lock the caller already holds (QueryPage); fills must not
+	// re-acquire it.
 	holdLock bool
 
 	// Streaming mode: buf holds the current summarized batch,
@@ -468,8 +468,7 @@ func (r *Results) buildRanked() error {
 }
 
 // Drain consumes the stream to its Limit (or exhaustion) and returns every
-// summary. The slice is non-nil even when empty, matching the historical
-// Search contract.
+// summary. The slice is non-nil even when empty.
 func (r *Results) Drain() ([]Summary, error) {
 	out := make([]Summary, 0, r.drainCap())
 	for {

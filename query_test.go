@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"sizelos/internal/datagen"
+	"sizelos/internal/keyword"
 	"sizelos/internal/rank"
 	"sizelos/internal/relational"
 	"sizelos/internal/schemagraph"
@@ -113,7 +114,7 @@ func drainQuery(t *testing.T, eng *Engine, req QueryRequest) []Summary {
 }
 
 // TestQueryStreamEqualsSearch: pulling a Query stream to exhaustion must
-// reproduce the eager Search result exactly, and any Limit-n stream must
+// reproduce the eager QueryPage result exactly, and any Limit-n stream must
 // be the length-n prefix of the full answer — on both evaluation databases.
 func TestQueryStreamEqualsSearch(t *testing.T) {
 	cases := []struct {
@@ -128,17 +129,17 @@ func TestQueryStreamEqualsSearch(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := tc.eng(t)
-			full, err := eng.Search(tc.rel, tc.q, 8, SearchOptions{})
+			full, _, _, err := eng.QueryPage(QueryRequest{Rel: tc.rel, Query: tc.q, L: 8})
 			if err != nil {
 				t.Fatalf("Search: %v", err)
 			}
 			streamed := drainQuery(t, eng, QueryRequest{Rel: tc.rel, Query: tc.q, L: 8})
 			if len(streamed) != len(full) {
-				t.Fatalf("streamed %d, Search %d", len(streamed), len(full))
+				t.Fatalf("streamed %d, QueryPage %d", len(streamed), len(full))
 			}
 			for i := range full {
 				if !reflect.DeepEqual(streamed[i], full[i]) {
-					t.Fatalf("streamed[%d] differs from Search[%d]", i, i)
+					t.Fatalf("streamed[%d] differs from QueryPage[%d]", i, i)
 				}
 			}
 			for _, n := range []int{1, 2, 5} {
@@ -160,25 +161,38 @@ func TestQueryStreamEqualsSearch(t *testing.T) {
 	}
 }
 
-// refSearchSummaries recomputes Search's answer through an independent
-// path: raw index matches, summarized one at a time via SizeL. Any drift
-// between the streamed pipeline and this reference is a real behavior
-// change in the wrappers.
-func refSearchSummaries(t *testing.T, eng *Engine, rel, q string, l int, opts SearchOptions) []Summary {
+// indexMatches drains the keyword index's ranked matches for q — the raw
+// candidate order the Query pipeline must serve summaries in.
+func indexMatches(eng *Engine, rel, q string, sc relational.DBScores) []keyword.Match {
+	s := eng.Index().SearchStream(rel, q, sc)
+	var out []keyword.Match
+	for {
+		m, ok := s.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, m)
+	}
+}
+
+// refSearchSummaries recomputes a query's answer through an independent
+// path: raw index matches, truncated to req.Limit and summarized one at a
+// time via SizeL. Any drift between the streamed pipeline and this
+// reference is a real behavior change in the serving path.
+func refSearchSummaries(t *testing.T, eng *Engine, req QueryRequest) []Summary {
 	t.Helper()
-	o := opts
-	o.fill()
-	sc, err := eng.Scores(o.Setting)
+	opts := req.options()
+	sc, err := eng.Scores(opts.Setting)
 	if err != nil {
 		t.Fatalf("Scores: %v", err)
 	}
-	matches := eng.Index().Search(rel, q, sc)
-	if opts.TopK > 0 && len(matches) > opts.TopK {
-		matches = matches[:opts.TopK]
+	matches := indexMatches(eng, req.Rel, req.Query, sc)
+	if req.Limit > 0 && len(matches) > req.Limit {
+		matches = matches[:req.Limit]
 	}
 	out := make([]Summary, 0, len(matches))
 	for _, m := range matches {
-		s, err := eng.SizeL(rel, m.Tuple, l, opts)
+		s, err := eng.SizeL(req.Rel, m.Tuple, req.L, opts)
 		if err != nil {
 			t.Fatalf("SizeL(%d): %v", m.Tuple, err)
 		}
@@ -187,41 +201,41 @@ func refSearchSummaries(t *testing.T, eng *Engine, rel, q string, l int, opts Se
 	return out
 }
 
-// TestWrapperBitIdentical pins the redesign's compatibility promise:
-// Search and RankedSearch, now thin wrappers over the streaming Query
-// pipeline, return bit-identical results to the pre-redesign eager path
-// (reconstructed via raw matches + SizeL, which shares no code with the
-// stream's batching, pooling or cursor logic).
+// TestWrapperBitIdentical pins the serving path's compatibility promise:
+// Query streams and QueryPage pages return bit-identical results to the
+// eager path (reconstructed via raw matches + SizeL, which shares no code
+// with the stream's batching, pooling or cursor logic).
 func TestWrapperBitIdentical(t *testing.T) {
 	eng := getDBLP(t)
-	for _, opts := range []SearchOptions{
-		{},
-		{TopK: 2},
-		{ShowWeights: true},
-		{UseComplete: true},
-		{Algorithm: AlgoDP},
-		{Parallel: 1},
+	base := QueryRequest{Rel: "Author", Query: "Faloutsos", L: 12}
+	for _, mod := range []func(*QueryRequest){
+		func(*QueryRequest) {},
+		func(r *QueryRequest) { r.Limit = 2 },
+		func(r *QueryRequest) { r.ShowWeights = true },
+		func(r *QueryRequest) { r.Complete = true },
+		func(r *QueryRequest) { r.Algorithm = AlgoDP },
+		func(r *QueryRequest) { r.Parallel = 1 },
 	} {
-		got, err := eng.Search("Author", "Faloutsos", 12, opts)
+		req := base
+		mod(&req)
+		want := refSearchSummaries(t, eng, req)
+		got, _, _, err := eng.QueryPage(req)
 		if err != nil {
-			t.Fatalf("Search(%+v): %v", opts, err)
+			t.Fatalf("QueryPage(%+v): %v", req, err)
 		}
-		want := refSearchSummaries(t, eng, "Author", "Faloutsos", 12, opts)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("Search(%+v) diverged from reference (%d vs %d results)",
-				opts, len(got), len(want))
+			t.Fatalf("QueryPage(%+v) diverged from reference (%d vs %d results)", req, len(got), len(want))
+		}
+		if streamed := drainQuery(t, eng, req); !reflect.DeepEqual(streamed, want) {
+			t.Fatalf("Query(%+v) diverged from reference (%d vs %d results)", req, len(streamed), len(want))
 		}
 	}
 
-	// RankedSearch: the reference summarizes every match, sorts stably by
-	// Im(S) descending (ties: tuple ascending), and truncates to k — the
-	// seed's exact semantics.
+	// RankBySummary: the reference summarizes every match, sorts stably by
+	// Im(S) descending (ties: tuple ascending), and truncates to k.
 	for _, k := range []int{1, 2, 10} {
-		got, err := eng.RankedSearch("Author", "Faloutsos", 10, k, SearchOptions{})
-		if err != nil {
-			t.Fatalf("RankedSearch(k=%d): %v", k, err)
-		}
-		want := refSearchSummaries(t, eng, "Author", "Faloutsos", 10, SearchOptions{})
+		req := QueryRequest{Rel: "Author", Query: "Faloutsos", L: 10, RankBySummary: true, K: k}
+		want := refSearchSummaries(t, eng, QueryRequest{Rel: "Author", Query: "Faloutsos", L: 10})
 		sort.SliceStable(want, func(a, b int) bool {
 			if want[a].Result.Importance != want[b].Result.Importance {
 				return want[a].Result.Importance > want[b].Result.Importance
@@ -231,12 +245,16 @@ func TestWrapperBitIdentical(t *testing.T) {
 		if len(want) > k {
 			want = want[:k]
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("RankedSearch(k=%d) diverged from reference", k)
+		got, _, _, err := eng.QueryPage(req)
+		if err != nil {
+			t.Fatalf("ranked QueryPage(k=%d): %v", k, err)
 		}
-	}
-	if _, err := eng.RankedSearch("Author", "Faloutsos", 10, 0, SearchOptions{}); err == nil {
-		t.Fatal("RankedSearch(k=0) did not error")
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("ranked QueryPage(k=%d) diverged from reference", k)
+		}
+		if streamed := drainQuery(t, eng, req); !reflect.DeepEqual(streamed, want) {
+			t.Fatalf("ranked Query(k=%d) diverged from reference", k)
+		}
 	}
 }
 
@@ -264,7 +282,7 @@ func TestQueryEarlyTermination(t *testing.T) {
 			stats.Summaries, stats.Matches)
 	}
 	// The served prefix is exactly the global best-first order.
-	full := eng.Index().Search("Item", "acme", mustScores(t, eng))
+	full := indexMatches(eng, "Item", "acme", mustScores(t, eng))
 	for i, s := range sums {
 		if s.Tuple != full[i].Tuple {
 			t.Fatalf("prefix[%d] = tuple %d, best-first order says %d", i, s.Tuple, full[i].Tuple)
@@ -311,7 +329,7 @@ func TestQueryCursorWalk(t *testing.T) {
 		}
 		cursor = next
 	}
-	full := eng.Index().Search("Item", "acme", mustScores(t, eng))
+	full := indexMatches(eng, "Item", "acme", mustScores(t, eng))
 	for i, s := range walked {
 		if s.Tuple != full[i].Tuple {
 			t.Fatalf("walked[%d] = tuple %d, want %d", i, s.Tuple, full[i].Tuple)
@@ -332,13 +350,13 @@ func TestQueryCursorWalk(t *testing.T) {
 }
 
 // TestRankedQueryPaging: RankBySummary pages must concatenate to exactly
-// RankedSearch's top-k, served from one materialized ranking.
+// the unpaged top-k, served from one materialized ranking.
 func TestRankedQueryPaging(t *testing.T) {
 	eng := getDBLP(t)
 	const k = 3
-	want, err := eng.RankedSearch("Author", "Faloutsos", 10, k, SearchOptions{})
+	want, _, _, err := eng.QueryPage(QueryRequest{Rel: "Author", Query: "Faloutsos", L: 10, RankBySummary: true, K: k})
 	if err != nil {
-		t.Fatalf("RankedSearch: %v", err)
+		t.Fatalf("ranked query: %v", err)
 	}
 	var (
 		got    []Summary
@@ -362,24 +380,24 @@ func TestRankedQueryPaging(t *testing.T) {
 		cursor = next
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("ranked pages (%d) diverge from RankedSearch top-%d (%d)", len(got), k, len(want))
+		t.Fatalf("ranked pages (%d) diverge from the unpaged top-%d (%d)", len(got), k, len(want))
 	}
 }
 
-// TestQueryDeletedTupleBackfill pins the TopK wart fix: a tuple that is
-// tombstoned while still listed in the posting window is skipped and the
-// window backfilled from the remaining matches — where the seed's TopK
-// path returned an error for the whole query.
+// TestQueryDeletedTupleBackfill pins the stale-window fix: a tuple that
+// is tombstoned while still listed in the posting window is skipped and
+// the window backfilled from the remaining matches, instead of failing the
+// whole query.
 func TestQueryDeletedTupleBackfill(t *testing.T) {
 	eng := mutableDBLP(t)
 	sc := mustScores(t, eng)
-	matches := eng.Index().Search("Author", "Faloutsos", sc)
+	matches := indexMatches(eng, "Author", "Faloutsos", sc)
 	if len(matches) < 3 {
 		t.Fatalf("fixture has %d Faloutsos matches, need 3", len(matches))
 	}
 	// Tombstone the best match behind the engine's back: the posting list
 	// still carries it (no Mutate, no epoch bump) — exactly the stale
-	// window the old TopK path tripped over.
+	// window a bounded page can hit.
 	if err := eng.DB().Relation("Author").Delete(matches[0].Tuple); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
@@ -398,14 +416,9 @@ func TestQueryDeletedTupleBackfill(t *testing.T) {
 		t.Fatalf("window = tuples %d,%d; want backfilled %d,%d",
 			sums[0].Tuple, sums[1].Tuple, matches[1].Tuple, matches[2].Tuple)
 	}
-	// The wrapper inherits the fix: old TopK callers get the healed window
-	// instead of the seed's error.
-	viaSearch, err := eng.Search("Author", "Faloutsos", 5, SearchOptions{TopK: 2})
-	if err != nil {
-		t.Fatalf("Search with stale window: %v", err)
-	}
-	if !reflect.DeepEqual(viaSearch, sums) {
-		t.Fatal("Search{TopK:2} disagrees with QueryPage{Limit:2} on the healed window")
+	// The lazy stream heals the window identically.
+	if streamed := drainQuery(t, eng, QueryRequest{Rel: "Author", Query: "Faloutsos", L: 5, Limit: 2}); !reflect.DeepEqual(streamed, sums) {
+		t.Fatal("Query{Limit:2} disagrees with QueryPage{Limit:2} on the healed window")
 	}
 }
 

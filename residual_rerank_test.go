@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"sizelos/internal/datagen"
+	"sizelos/internal/mutgen"
 	"sizelos/internal/rank"
 	"sizelos/internal/relational"
 )
@@ -168,7 +169,7 @@ func TestResidualUpdateSavings(t *testing.T) {
 // genuinely converges via pushes (see TestResidualLargeBatchStillConverges).
 func TestResidualFallbackBoundary(t *testing.T) {
 	eng := residualTestEngine(t, 80, 260)
-	eng.SetResidualBudget(50)
+	eng.residualBudget = 50
 	paper := eng.DB().Relation("Paper")
 	batch := MutationBatch{Rerank: true}
 	for i := 0; i < 2500; i++ {
@@ -268,33 +269,39 @@ func TestResidualLargeBatchStillConverges(t *testing.T) {
 // arena sweeps.
 func e5xWarmFloor(nodes int) int { return 5 * nodes }
 
+// highDampingSettings is the d3=0.99 stress setting alone.
+var highDampingSettings = []Setting{{Name: "GA1-d3", GA: datagen.DBLPGA1(), Damping: 0.99}}
+
+// highDampingEngine builds the DBLP fixture of the high-damping tests.
+func highDampingEngine(t *testing.T) *Engine {
+	t.Helper()
+	cfg := datagen.DefaultDBLPConfig()
+	cfg.Authors = 120
+	cfg.Papers = 500
+	db, err := datagen.GenerateDBLP(cfg)
+	if err != nil {
+		t.Fatalf("GenerateDBLP: %v", err)
+	}
+	eng, err := NewEngine(db, highDampingSettings)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	return eng
+}
+
 // TestResidualHighDampingCompletesAccelerated pins the PR-9 wart fix for
 // the d3=0.99 stress setting, whose slow global modes decay only
 // geometrically per push round. Single-tuple re-ranks must complete in the
 // localized path — FallbackTaken false. A disruptive batch whose push
 // genuinely trips the 4n budget must be rescued by the accelerated dense
 // finisher (deflation + Chebyshev) instead of abandoning to the full
-// iteration — while SetResidualAccel(false) preserves the legacy
+// iteration — while turning residualAccel off preserves the legacy
 // budget-trip behavior — and the served scores stay within the cold-start
 // tolerance contract throughout.
 func TestResidualHighDampingCompletesAccelerated(t *testing.T) {
-	mk := func() *Engine {
-		cfg := datagen.DefaultDBLPConfig()
-		cfg.Authors = 120
-		cfg.Papers = 500
-		db, err := datagen.GenerateDBLP(cfg)
-		if err != nil {
-			t.Fatalf("GenerateDBLP: %v", err)
-		}
-		eng, err := NewEngine(db, []Setting{{Name: "GA1-d3", GA: datagen.DBLPGA1(), Damping: 0.99}})
-		if err != nil {
-			t.Fatalf("NewEngine: %v", err)
-		}
-		return eng
-	}
-	accel := mk()
-	legacy := mk()
-	legacy.SetResidualAccel(false)
+	accel := highDampingEngine(t)
+	legacy := highDampingEngine(t)
+	legacy.residualAccel = false
 
 	// The wart itself: a d=0.99 single-tuple re-rank stays localized.
 	res, err := accel.Mutate(citesStreamBatch(accel, 65_000_001, 0, 0))
@@ -391,13 +398,70 @@ func TestResidualHighDampingCompletesAccelerated(t *testing.T) {
 	}
 }
 
+// TestRestoredEngineKeepsAcceleration pins that a snapshot-restored engine
+// serves with the same knobs as the fresh engine it was exported from: a
+// restart, failover or migration adoption must not silently lose the
+// high-damping rescue. Both engines take identical mutgen batches under
+// the same tight push budget, so ordinary batches trip it; after the
+// re-arming re-rank (a restored engine carries no residual deltas, so its
+// first re-rank runs the full iteration), every GA1-d3 repair must be
+// accelerated on both engines or on neither.
+func TestRestoredEngineKeepsAcceleration(t *testing.T) {
+	fresh := highDampingEngine(t)
+	st, _, err := fresh.ExportState()
+	if err != nil {
+		t.Fatalf("ExportState: %v", err)
+	}
+	restored, err := NewEngineFromState(highDampingSettings, st)
+	if err != nil {
+		t.Fatalf("NewEngineFromState: %v", err)
+	}
+	fresh.residualBudget, restored.residualBudget = 400, 400
+	gen := mutgen.New(fresh.DB(), 21)
+	tripped := 0
+	for round := 0; round < 30; round++ {
+		batch := toMutationBatch(gen.NextBatch())
+		batch.Rerank = true
+		resF, err := fresh.Mutate(batch)
+		if err != nil {
+			t.Fatalf("round %d: fresh Mutate: %v", round, err)
+		}
+		resR, err := restored.Mutate(batch)
+		if err != nil {
+			t.Fatalf("round %d: restored Mutate: %v", round, err)
+		}
+		f, r := resF.RerankStats["GA1-d3"], resR.RerankStats["GA1-d3"]
+		if round == 0 {
+			if r.Residual {
+				t.Fatalf("restored engine's first re-rank took the residual path without deltas: %+v", r)
+			}
+			continue
+		}
+		if !f.Residual || !r.Residual {
+			// A scheduled full re-grounding (every residualRefreshInterval
+			// re-ranks); the engines' schedules are one re-rank apart.
+			continue
+		}
+		if f.Accelerated != r.Accelerated {
+			t.Fatalf("round %d: fresh Accelerated=%v, restored Accelerated=%v\nfresh    %+v\nrestored %+v",
+				round, f.Accelerated, r.Accelerated, f, r)
+		}
+		if f.Accelerated {
+			tripped++
+		}
+	}
+	if tripped == 0 {
+		t.Fatal("no mutgen batch tripped the GA1-d3 push budget; the test no longer exercises the rescue")
+	}
+}
+
 // TestResidualAfterCompactionFullRerank: a compaction remaps TupleIDs out
 // from under the accumulated residual deltas, so the next re-rank must
 // re-ground with the warm full iteration — and the one after that goes
 // back to residual repair.
 func TestResidualAfterCompactionFullRerank(t *testing.T) {
 	eng := residualTestEngine(t, 80, 260)
-	eng.SetCompactionPolicy(1, 0.0001)
+	eng.compactMin, eng.compactRatio = 1, 0.0001
 
 	cites := eng.DB().Relation("Cites")
 	var pk int64
@@ -453,7 +517,7 @@ func TestRerankOnlyBatchReusesConvergedScores(t *testing.T) {
 	if len(res.Epochs) != 0 || eng.EpochFor("Author") != before {
 		t.Fatalf("no-op re-rank rotated epochs: %v (Author %d -> %d)", res.Epochs, before, eng.EpochFor("Author"))
 	}
-	if _, err := eng.Search("Author", "Faloutsos", 5, SearchOptions{}); err != nil {
+	if _, _, _, err := eng.QueryPage(QueryRequest{Rel: "Author", Query: "Faloutsos", L: 5}); err != nil {
 		t.Fatalf("post-rerank search: %v", err)
 	}
 
@@ -464,4 +528,83 @@ func TestRerankOnlyBatchReusesConvergedScores(t *testing.T) {
 	if eng.EpochFor("Author") == before {
 		t.Fatal("real re-rank did not advance epochs")
 	}
+}
+
+// BenchmarkRerankResidualParallel measures the owner-tiled parallel
+// residual push against the serial schedule over a batch stream wide
+// enough to actually engage the tiling: single-tuple streams stay below
+// the serial-frontier cutover by design, so this family drives
+// ~150-citation batches whose frontiers force multi-region rounds. The
+// two variants are the same float program — bit-identical scores, equal
+// updates/op (reported) — so the gated ns/op difference is pure
+// scheduling: overhead on a 1-core box, speedup on the 4-core CI runner
+// (TestResidualPushSpeedupMulticore asserts the >=2x bar).
+func BenchmarkRerankResidualParallel(b *testing.B) {
+	const batchSize = 150
+	run := func(workers int) func(b *testing.B) {
+		return func(b *testing.B) {
+			cfg := datagen.DefaultDBLPConfig()
+			cfg.Authors = 300
+			cfg.Papers = 1200
+			db, err := datagen.GenerateDBLP(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			next := int64(50_000_000)
+			settings := []Setting{
+				{Name: "GA1-d1", GA: datagen.DBLPGA1(), Damping: 0.85},
+			}
+			eng, err := NewEngine(db, settings)
+			if err != nil {
+				b.Fatal(err)
+			}
+			eng.residualWorkers = workers
+			paper := db.Relation("Paper")
+			var prev []int64
+			updates := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				batch := MutationBatch{Rerank: true}
+				for _, pk := range prev {
+					batch.Deletes = append(batch.Deletes, TupleDelete{Rel: "Cites", PK: pk})
+				}
+				prev = prev[:0]
+				for j := 0; j < batchSize; j++ {
+					next++
+					k := i*batchSize + j
+					batch.Inserts = append(batch.Inserts, TupleInsert{
+						Rel: "Cites",
+						Tuple: relational.Tuple{
+							relational.IntVal(next),
+							relational.IntVal(paper.PK(relational.TupleID(k % 1200))),
+							relational.IntVal(paper.PK(relational.TupleID((k*7 + 13) % 1200))),
+						},
+					})
+					prev = append(prev, next)
+				}
+				res, err := eng.Mutate(batch)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, st := range res.RerankStats {
+					if st.FallbackTaken {
+						b.Fatalf("batch %d fell back to the full iteration — the family no longer measures the push", i)
+					}
+					if !st.Residual {
+						// The engine's scheduled re-grounding (every
+						// residualRefreshInterval-th re-rank); both variants
+						// pay it identically, so it can't skew the gate.
+						continue
+					}
+					if st.Regions != workers {
+						b.Fatalf("batch %d ran %d regions at %d workers — tiling did not engage", i, st.Regions, workers)
+					}
+					updates += st.Updates
+				}
+			}
+			b.ReportMetric(float64(updates)/float64(b.N), "updates/op")
+		}
+	}
+	b.Run("workers-1", run(1))
+	b.Run("workers-4", run(4))
 }
