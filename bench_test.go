@@ -18,7 +18,6 @@ package sizelos_test
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -454,24 +453,13 @@ func rankBenchGraph(b *testing.B) *datagraph.Graph {
 }
 
 // BenchmarkRankCompute times global ObjectRank computation (the setup cost
-// the paper precomputes offline): the serial baseline, the multicore push
-// phase, and a compiled-plans run that isolates the iteration cost the
-// engine pays per extra damping.
+// the paper precomputes offline): a one-shot Compute, and a compiled-plans
+// run that isolates the iteration cost the engine pays per extra damping.
 func BenchmarkRankCompute(b *testing.B) {
 	g := rankBenchGraph(b)
 	ga := datagen.DBLPGA1()
 	b.Run("serial", func(b *testing.B) {
 		opts := rank.DefaultOptions()
-		opts.Parallel = 1
-		for i := 0; i < b.N; i++ {
-			if _, _, err := rank.Compute(g, ga, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		opts := rank.DefaultOptions()
-		opts.Parallel = runtime.GOMAXPROCS(0)
 		for i := 0; i < b.N; i++ {
 			if _, _, err := rank.Compute(g, ga, opts); err != nil {
 				b.Fatal(err)

@@ -127,10 +127,6 @@ type Engine struct {
 	// path. 0, the production value, keeps the rank default (4× the node
 	// count); tests lower it to reach the fallback boundary.
 	residualBudget int
-	// residualWorkers pins the residual push's owner-tile worker count: 0,
-	// the production value, sizes by GOMAXPROCS; 1 forces serial. Purely a
-	// throughput knob — every count produces bit-identical scores.
-	residualWorkers int
 	// residualAccel gates the high-damping accelerated repair (on in
 	// production): when off, slow global modes trip the push budget and
 	// fall back to the warm full iteration.

@@ -14,9 +14,7 @@ import (
 // the setup and query hot paths whose regressions would be user-visible,
 // plus the mutation write path (incremental graph maintenance, the
 // warm-started re-rank, and the residual-push re-rank — the
-// streaming-ingest hot loop; "RerankResidual" also matches the
-// RerankResidualParallel serial-vs-tiled pair, keeping the parallel
-// schedule's overhead under watch), the durability tier (the WAL-attached
+// streaming-ingest hot loop), the durability tier (the WAL-attached
 // commit path and snapshot+WAL-tail crash recovery), and the streaming
 // query pair (the limit-10 first page vs the full materializing drain —
 // gating both keeps the early-termination gap itself under watch), and

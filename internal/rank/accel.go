@@ -44,15 +44,11 @@ package rank
 //     to the warm full iteration — acceleration is a performance path
 //     with the same safety net as the budgeted push.
 //
-// Every dense operation here runs on the deterministic worker
-// infrastructure the full iteration uses (per-destination pull lists in
-// canonical order, contiguous element ranges), so the accelerated path is
-// bit-for-bit identical at any worker count too.
+// Every dense operation here is a single-threaded pass over the arena,
+// and the matvec sums each destination's pull list in the canonical order
+// the full iteration uses, so a repair is a pure function of its inputs.
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
 // residualAccelDamping is the default damping at or above which a
 // budget-tripped push is rescued by the accelerated dense path instead of
@@ -108,9 +104,9 @@ func (ps *Plans) computeDeflation() *deflation {
 			if transpose {
 				ps.matvecPullT(x, y)
 			} else {
-				ps.matvecPull(y, x, 1)
+				ps.matvecPull(y, x)
 			}
-			m := maxAbs(y, 1)
+			m := maxAbs(y)
 			if m == 0 {
 				return x // W ≡ 0 along this side: keep the uniform start
 			}
@@ -132,7 +128,7 @@ func (ps *Plans) computeDeflation() *deflation {
 	v := power(false)
 	u := power(true)
 	w := make([]float64, n)
-	ps.matvecPull(w, v, 1)
+	ps.matvecPull(w, v)
 	num, den := 0.0, 0.0
 	for i := 0; i < n; i++ {
 		num += u[i] * w[i]
@@ -172,22 +168,19 @@ func assembleArena(parts [][]float64, relOff []int32, n int) []float64 {
 
 // matvecPull computes out = W·x through the pull transpose: each
 // destination's contributions accumulate in the canonical order buildPull
-// fixed, split across workers by contiguous destination ranges — the same
-// bit-for-bit-deterministic kernel the full iteration runs on.
-func (ps *Plans) matvecPull(out, x []float64, workers int) {
-	parRange(ps.n, workers, func(lo, hi int) {
-		pullOff, pullSrc, pullW := ps.pullOff, ps.pullSrc, ps.pullW
-		for d := lo; d < hi; d++ {
-			sum := 0.0
-			for k := pullOff[d]; k < pullOff[d+1]; k++ {
-				sum += pullW[k] * x[pullSrc[k]]
-			}
-			out[d] = sum
+// fixed — the same kernel the full iteration runs on.
+func (ps *Plans) matvecPull(out, x []float64) {
+	pullOff, pullSrc, pullW := ps.pullOff, ps.pullSrc, ps.pullW
+	for d := 0; d < ps.n; d++ {
+		sum := 0.0
+		for k := pullOff[d]; k < pullOff[d+1]; k++ {
+			sum += pullW[k] * x[pullSrc[k]]
 		}
-	})
+		out[d] = sum
+	}
 }
 
-// matvecPullT computes out = Wᵀ·x (serial: only the one-time eigenpair
+// matvecPullT computes out = Wᵀ·x (only the one-time eigenpair
 // estimate needs the transpose action).
 func (ps *Plans) matvecPullT(x, out []float64) {
 	for i := range out {
@@ -200,77 +193,12 @@ func (ps *Plans) matvecPullT(x, out []float64) {
 	}
 }
 
-// parRange runs f over [0, n) split into contiguous chunks, one per
-// worker. Element-disjoint writes keep every split bit-identical.
-func parRange(n, workers int, f func(lo, hi int)) {
-	if workers <= 1 || n < 4096 {
-		f(0, n)
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			f(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// maxAbs returns max |x[i]| over contiguous worker ranges (max is
-// order-independent, so any split is deterministic).
-func maxAbs(x []float64, workers int) float64 {
-	if workers <= 1 || len(x) < 4096 {
-		m := 0.0
-		for _, v := range x {
-			if a := math.Abs(v); a > m {
-				m = a
-			}
-		}
-		return m
-	}
-	if workers > len(x) {
-		workers = len(x)
-	}
-	chunk := (len(x) + workers - 1) / workers
-	parts := make([]float64, 0, workers)
-	for lo := 0; lo < len(x); lo += chunk {
-		parts = append(parts, 0)
-	}
-	var wg sync.WaitGroup
-	i := 0
-	for lo := 0; lo < len(x); lo += chunk {
-		hi := lo + chunk
-		if hi > len(x) {
-			hi = len(x)
-		}
-		wg.Add(1)
-		go func(i, lo, hi int) {
-			defer wg.Done()
-			m := 0.0
-			for _, v := range x[lo:hi] {
-				if a := math.Abs(v); a > m {
-					m = a
-				}
-			}
-			parts[i] = m
-		}(i, lo, hi)
-		i++
-	}
-	wg.Wait()
+// maxAbs returns max |x[i]|.
+func maxAbs(x []float64) float64 {
 	m := 0.0
-	for _, p := range parts {
-		if p > m {
-			m = p
+	for _, v := range x {
+		if a := math.Abs(v); a > m {
+			m = a
 		}
 	}
 	return m
@@ -284,14 +212,13 @@ func maxAbs(x []float64, workers int) float64 {
 // false when the repair abandoned (residual divergence or the MaxIter
 // round cap) and the caller must fall back to the warm full iteration;
 // cur is then dead state — the fallback restarts from Options.Warm.
-func (ps *Plans) accelRepair(cur, r []float64, d, eps float64, workers, maxRounds int, stats *Stats) (bool, error) {
+func (ps *Plans) accelRepair(cur, r []float64, d, eps float64, maxRounds int, stats *Stats) (bool, error) {
 	if err := ps.ensurePull(); err != nil {
 		return false, err
 	}
 	n := ps.n
 	defl := ps.deflationPair()
 	stats.Accelerated = true
-	stats.Regions = workers
 
 	// Deflation jump: annihilate the dominant component of the seeded
 	// residual in one exact O(n) correction (see the package comment for
@@ -299,7 +226,7 @@ func (ps *Plans) accelRepair(cur, r []float64, d, eps float64, workers, maxRound
 	vhat := assembleArena(defl.right, ps.relOff, n)
 	uhat := assembleArena(defl.left, ps.relOff, n)
 	what := make([]float64, n)
-	ps.matvecPull(what, vhat, workers)
+	ps.matvecPull(what, vhat)
 	alpha := 0.0
 	for i := 0; i < n; i++ {
 		alpha += uhat[i] * r[i]
@@ -309,12 +236,10 @@ func (ps *Plans) accelRepair(cur, r []float64, d, eps float64, workers, maxRound
 		denom += uhat[i] * (vhat[i] - d*what[i])
 	}
 	if gamma := alpha / denom; denom != 0 && !math.IsInf(gamma, 0) && !math.IsNaN(gamma) {
-		parRange(n, workers, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				cur[i] += gamma * vhat[i]
-				r[i] -= gamma * (vhat[i] - d*what[i])
-			}
-		})
+		for i := 0; i < n; i++ {
+			cur[i] += gamma * vhat[i]
+			r[i] -= gamma * (vhat[i] - d*what[i])
+		}
 		stats.Updates += n
 	}
 
@@ -332,10 +257,10 @@ func (ps *Plans) accelRepair(cur, r []float64, d, eps float64, workers, maxRound
 	wdy := vhat
 	omega := 1.0
 	kc := 0
-	r0 := maxAbs(r, workers)
+	r0 := maxAbs(r)
 	best := r0
 	for round := 0; round < maxRounds; round++ {
-		m := maxAbs(r, workers)
+		m := maxAbs(r)
 		stats.MaxDelta = m
 		if m < eps {
 			stats.Converged = true
@@ -361,20 +286,16 @@ func (ps *Plans) accelRepair(cur, r []float64, d, eps float64, workers, maxRound
 				omega = 1 / (1 - rho2/4*omega)
 			}
 			om1 := omega - 1
-			parRange(n, workers, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					dy[i] = om1*dy[i] + omega*r[i]
-				}
-			})
+			for i := 0; i < n; i++ {
+				dy[i] = om1*dy[i] + omega*r[i]
+			}
 		}
 		kc++
-		ps.matvecPull(wdy, dy, workers)
-		parRange(n, workers, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				cur[i] += dy[i]
-				r[i] += d*wdy[i] - dy[i]
-			}
-		})
+		ps.matvecPull(wdy, dy)
+		for i := 0; i < n; i++ {
+			cur[i] += dy[i]
+			r[i] += d*wdy[i] - dy[i]
+		}
 		stats.Rounds++
 		stats.Updates += n
 	}

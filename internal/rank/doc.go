@@ -27,6 +27,12 @@
 // rows; Plans.RunResidual repairs the prior fixed point with a localized
 // Gauss–Southwell residual push (see residual.go for the math).
 //
+// Every kernel here is single-threaded. Global importance is offline
+// precomputation (§2.2), and the engine already runs one Run or
+// RunResidual per setting concurrently over the shared *Plans, so worker
+// pools inside a run would only oversubscribe the cores; measured, they
+// lost to the serial kernels (docs/MAINTENANCE.md §6).
+//
 // # Invariants
 //
 //   - Options.Warm — and the prior RunResidual repairs — must be RAW
@@ -34,10 +40,11 @@
 //     moves a vector far from the fixed point; feeding it back as a warm
 //     start squanders the head start, and feeding it to RunResidual breaks
 //     the residual-seeding identity outright. Callers keep two tables.
-//   - Plans.Run is bit-for-bit deterministic at every Options.Parallel
-//     setting: each destination's contributions are summed by exactly one
-//     worker in the canonical order (plan ordinal, source ascending, target
-//     position). Changing the worker count must never change a score.
+//   - Plans.Run is bit-for-bit deterministic: each destination's
+//     contributions are summed in the canonical order (plan ordinal,
+//     source ascending, target position), and RunResidual's push rounds
+//     apply contributions in source-ascending order at values frozen at
+//     round start. Reordering either sum changes score bits.
 //   - Plans.Apply requires the batch to be already applied to the plans'
 //     database AND data graph (it recomputes changed rows from both), and
 //     must be serialized against Run/RunResidual by the caller. The engine

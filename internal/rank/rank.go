@@ -113,11 +113,6 @@ type Options struct {
 	// global maximum equals this value. The paper reports local-importance
 	// magnitudes like 21.74; scaling is cosmetic and preserves all rankings.
 	NormalizeMax float64
-	// Parallel sets the push-phase worker count: 0 sizes the pool by
-	// GOMAXPROCS (serial on small graphs), 1 forces serial, >1 forces that
-	// many workers. Every setting yields bit-for-bit identical scores; see
-	// Plans.Run.
-	Parallel int
 	// Warm, when non-nil, seeds the power iteration with a prior score
 	// vector instead of the uniform distribution — the warm start that
 	// makes re-ranking after a small mutation converge in a handful of
@@ -137,8 +132,7 @@ type Options struct {
 	// past one sweep, while a genuinely global perturbation trips the
 	// budget early and takes the vectorized iteration instead. The budget
 	// is enforced at push-round granularity — a round either runs in full
-	// or falls back before starting — so the fallback decision is
-	// independent of the worker count. Accelerated high-damping repairs
+	// or falls back before starting. Accelerated high-damping repairs
 	// (see ResidualAccelDamping) are bounded by MaxIter rounds instead.
 	ResidualBudget int
 	// ResidualAccelDamping is the damping at or above which a residual
@@ -185,14 +179,6 @@ type Stats struct {
 	// Rounds counts the synchronized residual rounds a RunResidual
 	// executed: frontier push rounds, or accelerated Chebyshev rounds.
 	Rounds int
-	// Regions reports the owner-tile count the residual repair was
-	// partitioned into (1 = serial). Purely observational: every region
-	// count produces bit-identical scores.
-	Regions int
-	// Handoffs counts cross-region contributions exchanged at push-round
-	// barriers — how often a push crossed a partition boundary. Always 0
-	// for serial runs (one region owns everything).
-	Handoffs int
 	// Accelerated records that the high-damping dense rescue (deflation +
 	// Chebyshev, accel.go) ran after the push budget tripped; combined
 	// with Fallback it means the rescue was also abandoned for the warm

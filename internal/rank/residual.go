@@ -29,26 +29,27 @@ package rank
 //
 // A push at node u then moves r[u] into the score and propagates
 // d·w(u→v)·r[u] to u's flow targets, preserving the invariant
-// x = cur + (I−M)⁻¹r. The push runs in synchronized rounds over
-// owner-assigned arena tiles (parallel.go): each round consumes every
-// above-threshold residual at its round-start value and applies the
-// expanded contributions per destination in a fixed source-ascending
-// order, so the repair is bit-for-bit identical at any worker count and
-// round-empty ⟺ max|r| < Options.Epsilon — the same convergence
-// criterion, hence the same fixed-point tolerance class, as the full
-// iteration. Because the per-source rate sums of real G_As can exceed 1
-// (DBLP's Paper emits 1.2), the push is not 1-norm contractive at high
-// damping; the push budget, not a contraction argument, guarantees
-// termination: a run that exhausts it — or whose seed mass already dwarfs
-// the prior's — falls back to the warm full iteration, which is correct
-// from any seed. A high-damping run (Options.ResidualAccelDamping) that
-// trips the budget is first rescued by the deflation + Chebyshev dense
-// repair in accel.go, which extends the localized path past the push
-// budget where the slow global modes would otherwise always trip it.
+// x = cur + (I−M)⁻¹r. The push runs in synchronized rounds
+// (runPushRounds): each round consumes every above-threshold residual at
+// its round-start value and applies the expanded contributions per
+// destination in a fixed source-ascending order, so the repair is a pure
+// function of the round-start state and round-empty ⟺
+// max|r| < Options.Epsilon — the same convergence criterion, hence the
+// same fixed-point tolerance class, as the full iteration. Because the
+// per-source rate sums of real G_As can exceed 1 (DBLP's Paper emits
+// 1.2), the push is not 1-norm contractive at high damping; the push
+// budget, not a contraction argument, guarantees termination: a run that
+// exhausts it — or whose seed mass already dwarfs the prior's — falls
+// back to the warm full iteration, which is correct from any seed. A
+// high-damping run (Options.ResidualAccelDamping) that trips the budget
+// is first rescued by the deflation + Chebyshev dense repair in accel.go,
+// which extends the localized path past the push budget where the slow
+// global modes would otherwise always trip it.
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -300,20 +301,17 @@ const residualSeedFrac = 4 // fall back when seeds > n/residualSeedFrac
 // below Options.Epsilon — the same convergence criterion the full
 // iteration stops on, so the result lands in the same fixed-point
 // tolerance class. The repair is the round-synchronous residual push
-// (parallel.go): edge work (the expensive part a full iteration repeats
+// (runPushRounds): edge work (the expensive part a full iteration repeats
 // every sweep) stays proportional to the perturbed region, not the graph,
 // and arena setup is one O(n) pass with no edge traffic. A push that
 // trips its budget at damping ≥ Options.ResidualAccelDamping is rescued
 // in place by the deflation + Chebyshev dense iteration (accel.go), which
 // finishes the slow global modes in a small multiple of √(1/(1−ρ)) rounds
-// instead of the push's 1/(1−ρ). Options.Parallel partitions either path
-// across workers; every worker count produces bit-for-bit identical
-// scores.
+// instead of the push's 1/(1−ρ). Both paths are single-threaded.
 //
 // Options.Warm must hold the prior RAW scores the pending delta was
 // accumulated against; Options.ResidualBudget caps the pushes (enforced
-// at round granularity, so the fallback decision is worker-count
-// independent too). When the seed mass exceeds the safety bound, the
+// at round granularity). When the seed mass exceeds the safety bound, the
 // seeds cover too much of the arena, the budget runs out below the
 // acceleration damping, or an accelerated rescue diverges or exhausts
 // MaxIter rounds, RunResidual falls back to the warm full iteration over
@@ -437,8 +435,6 @@ func (ps *Plans) RunResidual(pending *Pending, opts Options) (relational.DBScore
 		st.ResidualNodes = stats.ResidualNodes
 		st.Updates += stats.Updates // the abandoned repair was real work
 		st.Rounds = stats.Rounds
-		st.Regions = stats.Regions
-		st.Handoffs = stats.Handoffs
 		st.Accelerated = stats.Accelerated // records the attempt
 		return sc, st, err
 	}
@@ -451,14 +447,13 @@ func (ps *Plans) RunResidual(pending *Pending, opts Options) (relational.DBScore
 		return fallback()
 	}
 
-	// Round-synchronous residual push over owner-assigned arena tiles
-	// (parallel.go): seeds form the first frontier in ascending arena
-	// order, every round consumes the whole frontier at frozen values, and
-	// frontier-empty ⟺ max|r| < ε. Bit-for-bit identical at any worker
-	// count. A high-damping run that trips the push budget is rescued by
-	// the accelerated dense path (accel.go) — its mid-repair state still
-	// satisfies the push invariant, and Chebyshev finishes the slow global
-	// modes the frontier push decays only geometrically.
+	// Round-synchronous residual push: seeds form the first frontier in
+	// ascending arena order, every round consumes the whole frontier at
+	// frozen values, and frontier-empty ⟺ max|r| < ε. A high-damping run
+	// that trips the push budget is rescued by the accelerated dense path
+	// (accel.go) — its mid-repair state still satisfies the push
+	// invariant, and Chebyshev finishes the slow global modes the
+	// frontier push decays only geometrically.
 	eps := opts.Epsilon
 	sort.Slice(touched, func(a, b int) bool { return touched[a] < touched[b] })
 	frontier := make([]int32, 0, len(touched))
@@ -467,8 +462,7 @@ func (ps *Plans) RunResidual(pending *Pending, opts Options) (relational.DBScore
 			frontier = append(frontier, v)
 		}
 	}
-	workers := resolveResidualWorkers(opts.Parallel, ps.n)
-	if !ps.runPushRounds(cur, r, relOf, frontier, d, eps, budget, workers, &stats) {
+	if !ps.runPushRounds(cur, r, relOf, frontier, d, eps, budget, &stats) {
 		stats.Updates = stats.Pushes
 		accelAt := opts.ResidualAccelDamping
 		if accelAt == 0 {
@@ -481,7 +475,7 @@ func (ps *Plans) RunResidual(pending *Pending, opts Options) (relational.DBScore
 		if maxRounds <= 0 {
 			maxRounds = 500
 		}
-		ok, err := ps.accelRepair(cur, r, d, eps, workers, maxRounds, &stats)
+		ok, err := ps.accelRepair(cur, r, d, eps, maxRounds, &stats)
 		if err != nil {
 			return nil, stats, err
 		}
@@ -503,4 +497,104 @@ func (ps *Plans) RunResidual(pending *Pending, opts Options) (relational.DBScore
 		Normalize(scores, opts.NormalizeMax)
 	}
 	return scores, stats, nil
+}
+
+// runPushRounds drives the round-synchronous residual push until the
+// frontier drains (max |r| < eps) or the budget would be exceeded, in
+// which case it stops without touching the remaining rounds and returns
+// false so the caller can fall back. frontier must be ascending and hold
+// exactly the nodes with |r| ≥ eps; cur and r are mutated in place.
+//
+// Round semantics. A round consumes every frontier node's residual at its
+// value frozen at round start (cur[u] += r[u]; r[u] = 0), expands each
+// consumed value along the node's out-flows, and applies the resulting
+// contributions r[dst] += d·w·rv in a fixed order: source arena index
+// ascending, then plan ordinal, then target position. The next frontier
+// is every node whose post-round |r| ≥ ε, ascending. Frozen values make
+// the set of floating-point operations a pure function of the round-start
+// state, and the fixed order makes their results so too. The push budget
+// is enforced at round granularity: a round either runs in full or not at
+// all.
+func (ps *Plans) runPushRounds(cur, r []float64, relOf []int32, frontier []int32, d, eps float64, budget int, stats *Stats) bool {
+	pushedNode := make([]bool, ps.n)
+	seen := make([]bool, ps.n)
+	var (
+		dv   []float64 // frozen deltas of the current frontier
+		next []int32   // next-frontier build buffer
+	)
+	for len(frontier) > 0 {
+		if stats.Pushes+len(frontier) > budget {
+			return false
+		}
+		stats.Rounds++
+		stats.Pushes += len(frontier)
+
+		// Freeze and consume the frontier, then expand in ascending order
+		// applying contributions directly.
+		if cap(dv) < len(frontier) {
+			dv = make([]float64, len(frontier))
+		}
+		dv = dv[:len(frontier)]
+		for i, u := range frontier {
+			dv[i] = r[u]
+			r[u] = 0
+			cur[u] += dv[i]
+			if !pushedNode[u] {
+				pushedNode[u] = true
+				stats.ResidualNodes++
+			}
+		}
+		next = next[:0]
+		for i, u := range frontier {
+			rv := dv[i]
+			ri := relOf[u]
+			t := relational.TupleID(u - ps.relOff[ri])
+			for _, pi := range ps.bySrc[ri] {
+				p := &ps.plans[pi]
+				targets, weights := p.row(t)
+				if len(targets) == 0 {
+					continue
+				}
+				dstOff := ps.relOff[p.dstRel]
+				uniform := p.rate / float64(len(targets))
+				for k, tgt := range targets {
+					w := uniform
+					if weights != nil {
+						w = p.rate * weights[k]
+					}
+					dst := dstOff + int32(tgt)
+					r[dst] += d * w * rv
+					if !seen[dst] {
+						seen[dst] = true
+						next = append(next, dst)
+					}
+				}
+			}
+		}
+		slices.Sort(next)
+		nf, maxBelow := filterFrontier(r, next, seen, eps)
+		stats.MaxDelta = maxBelow
+		frontier, next = nf, frontier
+	}
+	return true
+}
+
+// filterFrontier clears the seen marks of the sorted candidate list and
+// keeps the nodes still carrying an above-threshold residual — the next
+// round's frontier slice — along with the max sub-threshold residual left
+// behind (MaxDelta telemetry: each round overwrites it, so the final
+// round's leftover survives). The returned slice aliases cand's backing
+// array.
+func filterFrontier(r []float64, cand []int32, seen []bool, eps float64) ([]int32, float64) {
+	out := cand[:0]
+	maxBelow := 0.0
+	for _, v := range cand {
+		seen[v] = false
+		if a := math.Abs(r[v]); a >= eps {
+			out = append(out, v)
+		} else if a > maxBelow {
+			maxBelow = a
+		}
+	}
+	return out, maxBelow
 }

@@ -363,3 +363,174 @@ func TestPlansApplyMatchesRecompile(t *testing.T) {
 		}
 	}
 }
+
+// ringGA mixes a paper-to-paper hop with direct FK flows through the
+// citation tuples so BOTH relations carry and circulate authority, keeping
+// every arena slot active. Every node emits exactly `rate` (papers rate/2
+// hop + rate/2 to their citation children, citations `rate` back to their
+// citing paper), so the flow matrix has uniform column sums and spectral
+// radius `rate`; the Paper→Cites→Paper 2-cycles on top of the hop ring
+// keep the graph non-bipartite, so the rescue's power-iterated eigenpair
+// converges.
+func ringGA(rate float64) *rank.GA {
+	return rank.NewGA("ring").
+		Hop("Cites", 0, 1, rate/2).
+		Direct("Cites", 0, false, rate/2).
+		Direct("Cites", 0, true, rate)
+}
+
+// ringMutated builds a citation ring — papers 1..N, each citing the next
+// `fanout` papers ahead and the `fanout` behind — converges ringGA(rate)
+// on it, then inserts one long-range citation per paper i < nIns. It
+// returns the mutated store, the plans with the batch applied, the
+// pending delta and the pre-mutation prior the residual run repairs from.
+func ringMutated(t *testing.T, papers, fanout, nIns int, rate, damping float64) (*relational.DB, *rank.Plans, *rank.Pending, relational.DBScores) {
+	t.Helper()
+	db := relational.NewDB("ring")
+	paper := relational.MustNewRelation("Paper",
+		[]relational.Column{{Name: "id", Kind: relational.KindInt}}, "id", nil)
+	cites := relational.MustNewRelation("Cites",
+		[]relational.Column{
+			{Name: "id", Kind: relational.KindInt},
+			{Name: "citing", Kind: relational.KindInt},
+			{Name: "cited", Kind: relational.KindInt},
+		}, "id", []relational.ForeignKey{
+			{Column: "citing", Ref: "Paper"},
+			{Column: "cited", Ref: "Paper"},
+		})
+	db.MustAddRelation(paper)
+	db.MustAddRelation(cites)
+	for i := 1; i <= papers; i++ {
+		paper.MustInsert(relational.Tuple{relational.IntVal(int64(i))})
+	}
+	ck := int64(0)
+	for i := 0; i < papers; i++ {
+		for k := 1; k <= fanout; k++ {
+			for _, j := range []int{(i + k) % papers, (i - k + papers) % papers} {
+				cites.MustInsert(relational.Tuple{
+					relational.IntVal(ck),
+					relational.IntVal(int64(i + 1)),
+					relational.IntVal(int64(j + 1)),
+				})
+				ck++
+			}
+		}
+	}
+	g, err := datagraph.Build(db)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	ps, err := rank.Compile(g, ringGA(rate), nil)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	opts := rank.DefaultOptions()
+	opts.Damping = damping
+	opts.NormalizeMax = 0
+	prior, st, err := ps.Run(opts)
+	if err != nil || !st.Converged {
+		t.Fatalf("prior Run: err=%v stats=%+v", err, st)
+	}
+	var b relational.Batch
+	for i := 0; i < nIns; i++ {
+		b.Inserts = append(b.Inserts, relational.InsertOp{Rel: "Cites", Tuple: relational.Tuple{
+			relational.IntVal(int64(9_000_000 + i)),
+			relational.IntVal(int64(i%papers + 1)),
+			relational.IntVal(int64((i+papers/2)%papers + 1)),
+		}})
+	}
+	pending := ps.NewPending()
+	applyAll(t, db, g, ps, b, pending)
+	return db, ps, pending, prior
+}
+
+// runResidualBudget runs one residual repair of the pending delta with the
+// push budget pinned (0 = the default). RunResidual leaves pending
+// untouched, so one delta serves every run.
+func runResidualBudget(t *testing.T, ps *rank.Plans, pending *rank.Pending, prior relational.DBScores, damping float64, budget int) (relational.DBScores, rank.Stats) {
+	t.Helper()
+	opts := rank.DefaultOptions()
+	opts.Damping = damping
+	opts.NormalizeMax = 0
+	opts.Warm = prior
+	opts.ResidualBudget = budget
+	sc, st, err := ps.RunResidual(pending, opts)
+	if err != nil {
+		t.Fatalf("RunResidual(budget=%d): %v", budget, err)
+	}
+	return sc, st
+}
+
+// TestResidualEmptyFrontier: a repair with nothing above threshold — no
+// batch since the prior converged — runs no rounds and no pushes, reports
+// success, and serves the prior unchanged bit for bit.
+func TestResidualEmptyFrontier(t *testing.T) {
+	const damping = 0.85
+	_, _, ps, prior := residualFixture(t, damping)
+	got, st := runResidualBudget(t, ps, ps.NewPending(), prior, damping, 0)
+	if st.Rounds != 0 || st.Pushes != 0 || st.Fallback || !st.Converged {
+		t.Fatalf("empty frontier did work or failed: %+v", st)
+	}
+	for rel, s := range prior {
+		for i := range s {
+			if got[rel][i] != s[i] {
+				t.Fatalf("%s[%d]: %v vs prior %v", rel, i, got[rel][i], s[i])
+			}
+		}
+	}
+}
+
+// TestResidualBudgetTripAtRoundGranularity: a budget that runs out
+// mid-repair stops the push before the round that would exceed it — never
+// inside one — so the abandoned work never exceeds the budget, the same
+// budget trips at the same round every time, and the fallback still lands
+// on the cold fixed point.
+func TestResidualBudgetTripAtRoundGranularity(t *testing.T) {
+	const damping = 0.85
+	db, ps, pending, prior := ringMutated(t, 1500, 2, 150, 0.7, damping)
+	_, full := runResidualBudget(t, ps, pending, prior, damping, 0)
+	if full.Fallback || !full.Converged {
+		t.Fatalf("unbudgeted repair did not complete localized: %+v", full)
+	}
+	const budget = 3000
+	if full.Pushes <= budget {
+		t.Fatalf("fixture too small: the whole repair takes %d pushes", full.Pushes)
+	}
+	got, st := runResidualBudget(t, ps, pending, prior, damping, budget)
+	if !st.Fallback {
+		t.Fatalf("budget %d did not trip: %+v", budget, st)
+	}
+	if st.Rounds == 0 || st.Pushes == 0 || st.Pushes > budget || st.Rounds >= full.Rounds {
+		t.Fatalf("budget %d: %d rounds / %d pushes (full repair %d / %d)", budget, st.Rounds, st.Pushes, full.Rounds, full.Pushes)
+	}
+	// A budget of exactly the pushes already spent trips before the same
+	// round: the cut sits on a round boundary.
+	_, again := runResidualBudget(t, ps, pending, prior, damping, st.Pushes)
+	if !again.Fallback || again.Rounds != st.Rounds || again.Pushes != st.Pushes {
+		t.Fatalf("budget %d: %+v, budget %d: %+v", budget, st, st.Pushes, again)
+	}
+	cold := coldScores(t, db, ringGA(0.7), damping)
+	if d := maxDiff(t, got, cold); d > residualTol(damping) {
+		t.Fatalf("fallback diverged from cold by %g (tol %g)", d, residualTol(damping))
+	}
+}
+
+// TestResidualAccelRescueMatchesCold: a high-damping repair whose push
+// trips the budget is finished by the dense Chebyshev rescue, stops with
+// its max residual below Epsilon, and lands on the cold fixed point within
+// the tolerance both runs' ε stopping rule allows.
+func TestResidualAccelRescueMatchesCold(t *testing.T) {
+	const damping = 0.99
+	db, ps, pending, prior := ringMutated(t, 1500, 2, 150, 0.9, damping)
+	got, st := runResidualBudget(t, ps, pending, prior, damping, 0)
+	if !st.Accelerated || st.Fallback || !st.Converged {
+		t.Fatalf("high-damping ring did not take the accelerated rescue: %+v", st)
+	}
+	if eps := rank.DefaultOptions().Epsilon; st.MaxDelta >= eps {
+		t.Fatalf("rescue stopped at max residual %g, want < %g", st.MaxDelta, eps)
+	}
+	cold := coldScores(t, db, ringGA(0.9), damping)
+	if d := maxDiff(t, got, cold); d > residualTol(damping) {
+		t.Fatalf("accelerated rescue diverged from cold by %g (tol %g)", d, residualTol(damping))
+	}
+}

@@ -82,7 +82,7 @@ func (r *Router) serveMembers(w http.ResponseWriter) {
 
 func (r *Router) serveAddMember(w http.ResponseWriter, req *http.Request) {
 	var m Member
-	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, 1<<20)).Decode(&m); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, tenancy.MaxBodyBytes)).Decode(&m); err != nil {
 		writeEnvelope(w, http.StatusBadRequest, tenancy.CodeBadRequest, "bad member body", false)
 		return
 	}
@@ -151,7 +151,7 @@ func (r *Router) drainAll(mem *member) error {
 // request recovers the tenant there from the shared data dir.
 func (r *Router) serveMigrate(w http.ResponseWriter, req *http.Request) {
 	var body MigrateRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, 1<<20)).Decode(&body); err != nil ||
+	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, tenancy.MaxBodyBytes)).Decode(&body); err != nil ||
 		body.Tenant == "" || body.To == "" {
 		writeEnvelope(w, http.StatusBadRequest, tenancy.CodeBadRequest,
 			`migrate body needs {"tenant":..., "to":...}`, false)

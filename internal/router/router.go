@@ -3,6 +3,7 @@ package router
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -296,7 +297,13 @@ func (r *Router) serveTenantsIndex(w http.ResponseWriter, req *http.Request) {
 		sort.Strings(names)
 		writeJSON(w, http.StatusOK, map[string][]string{"tenants": names})
 	case http.MethodPost:
-		body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, 1<<20))
+		body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, tenancy.MaxBodyBytes))
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeEnvelope(w, http.StatusRequestEntityTooLarge, tenancy.CodeTooLarge,
+				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit), false)
+			return
+		}
 		if err != nil {
 			writeEnvelope(w, http.StatusBadRequest, tenancy.CodeBadRequest, "unreadable body", false)
 			return

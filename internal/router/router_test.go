@@ -567,3 +567,24 @@ func TestMigrationTargetDiesFailsBack(t *testing.T) {
 		t.Fatalf("owner after target death = %q, %v", owner, ok)
 	}
 }
+
+// TestOversizeBodiesRefusedThroughRouter: the router caps a registration
+// body at tenancy.MaxBodyBytes itself, and a proxied oversize mutation is
+// refused by the owner node — both as the same 413 too_large envelope.
+func TestOversizeBodiesRefusedThroughRouter(t *testing.T) {
+	f := newFleet(t, "n1")
+	pad := strings.Repeat("x", tenancy.MaxBodyBytes)
+	if ex := do(t, f.rtSrv.URL, http.MethodPost, "/v1/tenants",
+		`{"name":"big","dataset":"dblp","pad":"`+pad+`"}`); ex.status != http.StatusRequestEntityTooLarge ||
+		!strings.Contains(ex.body, tenancy.CodeTooLarge) {
+		t.Fatalf("oversize register: %d %s", ex.status, ex.body)
+	}
+	if ex := do(t, f.rtSrv.URL, http.MethodPost, "/v1/tenants", `{"name":"cap","dataset":"dblp"}`); ex.status != http.StatusCreated {
+		t.Fatalf("register: %d %s", ex.status, ex.body)
+	}
+	if ex := do(t, f.rtSrv.URL, http.MethodPost, "/v1/cap/tuples",
+		`{"inserts":[{"rel":"Author","values":[93000,"`+pad+`"]}]}`); ex.status != http.StatusRequestEntityTooLarge ||
+		!strings.Contains(ex.body, tenancy.CodeTooLarge) {
+		t.Fatalf("oversize mutate: %d %s", ex.status, ex.body)
+	}
+}

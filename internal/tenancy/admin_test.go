@@ -290,6 +290,81 @@ func TestMutateHTTP(t *testing.T) {
 	resp.Body.Close()
 }
 
+// TestOversizeBodiesRefused: a mutation or registration body past
+// MaxBodyBytes is refused with a non-retryable 413 too_large envelope
+// before any state changes — the oversize batch below is otherwise valid,
+// so only the cap keeps it out — while an ordinary batch still commits.
+func TestOversizeBodiesRefused(t *testing.T) {
+	reg := NewRegistry(2)
+	reg.SetOpener(func(dataset string, seed int64) (*sizelos.Engine, error) {
+		return freshEngine(t, 14), nil
+	})
+	eng := freshEngine(t, 13)
+	if _, err := reg.Register("cap", eng, Options{}); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	srv := httptest.NewServer(reg.Handler())
+	defer srv.Close()
+	post := func(path, body string) *http.Response {
+		t.Helper()
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		return resp
+	}
+	requireTooLarge := func(what string, resp *http.Response) {
+		t.Helper()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			resp.Body.Close()
+			t.Fatalf("%s = %d, want 413", what, resp.StatusCode)
+		}
+		env := decodeJSON[ErrorResponse](t, resp)
+		if env.Error.Code != CodeTooLarge || env.Error.Retryable {
+			t.Fatalf("%s envelope = %+v, want non-retryable %s", what, env.Error, CodeTooLarge)
+		}
+	}
+	authors := eng.DB().Relation("Author")
+	epoch, version, live := eng.EpochFor("Author"), authors.Version(), authors.Live()
+
+	pad := strings.Repeat("x", MaxBodyBytes)
+	requireTooLarge("oversize mutate", post("/v1/cap/tuples",
+		`{"inserts":[{"rel":"Author","values":[990101,"Oversize `+pad+`"]}]}`))
+	if eng.EpochFor("Author") != epoch || authors.Version() != version || authors.Live() != live {
+		t.Fatalf("oversize mutate moved the tenant: epoch %d->%d, version %d->%d, live %d->%d",
+			epoch, eng.EpochFor("Author"), version, authors.Version(), live, authors.Live())
+	}
+	if _, ok := authors.LookupPK(990101); ok {
+		t.Fatal("oversize batch's tuple is in the store")
+	}
+
+	requireTooLarge("oversize register", post("/v1/tenants",
+		`{"name":"huge","dataset":"tinydblp","pad":"`+pad+`"}`))
+	if _, ok := reg.Get("huge"); ok {
+		t.Fatal("oversize registration created the tenant")
+	}
+
+	// An ordinary batch — far larger than any the service's clients send,
+	// far below the cap — still commits.
+	var batch strings.Builder
+	batch.WriteString(`{"inserts":[`)
+	for i := 0; i < 2000; i++ {
+		if i > 0 {
+			batch.WriteByte(',')
+		}
+		fmt.Fprintf(&batch, `{"rel":"Author","values":[%d,"Bulk Author %d"]}`, 990200+i, i)
+	}
+	batch.WriteString(`]}`)
+	resp := post("/v1/cap/tuples", batch.String())
+	if resp.StatusCode != http.StatusOK {
+		resp.Body.Close()
+		t.Fatalf("ordinary %d-byte batch = %d, want 200", batch.Len(), resp.StatusCode)
+	}
+	if mut := decodeJSON[MutateResponse](t, resp); len(mut.Inserted) != 2000 || eng.EpochFor("Author") == epoch {
+		t.Fatalf("ordinary batch response = %d inserted, epoch %d", len(mut.Inserted), eng.EpochFor("Author"))
+	}
+}
+
 // TestMutationDuringInFlightBatch pins a single-flight search mid-compute
 // (its pool slot is occupied), lands a mutation behind it, and asserts the
 // in-flight batch completes against the pre-mutation state while every

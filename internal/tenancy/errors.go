@@ -21,8 +21,8 @@ type ErrorDetail struct {
 	// Message is the human-readable cause.
 	Message string `json:"message"`
 	// Retryable reports whether retrying the identical request can
-	// succeed — after the Retry-After delay when one is given. 409s, 400s
-	// and post-commit 500s are not retryable; 429/503 are.
+	// succeed — after the Retry-After delay when one is given. 409s, 400s,
+	// 413s and post-commit 500s are not retryable; 429/503 are.
 	Retryable bool `json:"retryable"`
 }
 
@@ -42,6 +42,7 @@ const (
 	CodeNotFound       = "not_found"       // 404
 	CodeConflict       = "conflict"        // 409
 	CodeGone           = "gone"            // 410
+	CodeTooLarge       = "too_large"       // 413
 	CodeRateLimited    = "rate_limited"    // 429
 	CodeInternal       = "internal"        // 500
 	CodeNotImplemented = "not_implemented" // 501
@@ -78,6 +79,10 @@ func errNotFound(msg string) *apiError {
 
 func errConflict(msg string) *apiError {
 	return &apiError{status: http.StatusConflict, code: CodeConflict, msg: msg}
+}
+
+func errTooLarge(msg string) *apiError {
+	return &apiError{status: http.StatusRequestEntityTooLarge, code: CodeTooLarge, msg: msg}
 }
 
 func errInternal(msg string, retryable bool) *apiError {

@@ -429,8 +429,8 @@ func (r *Registry) serveRegister(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var body RegisterRequest
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-		writeError(w, errBadRequest("invalid JSON body: %v", err))
+	if err := decodeBody(w, req, &body); err != nil {
+		writeError(w, err)
 		return
 	}
 	if body.Name == "" || body.Dataset == "" {
@@ -529,8 +529,8 @@ type MutateResponse struct {
 	Reranked bool              `json:"reranked"`
 	// RerankStats reports, per setting, which re-rank path served a
 	// Reranked batch and what it cost — the operator-visible telemetry for
-	// tuning the residual knobs (workers, budget, acceleration). Omitted
-	// when the batch did not re-rank.
+	// tuning the residual knobs (budget, acceleration). Omitted when the
+	// batch did not re-rank.
 	RerankStats map[string]RerankStatJSON `json:"rerank_stats,omitempty"`
 }
 
@@ -543,11 +543,9 @@ type RerankStatJSON struct {
 	// Accelerated marks a high-damping repair finished by the dense
 	// Chebyshev rescue after the push budget tripped.
 	Accelerated bool `json:"accelerated,omitempty"`
-	// Pushes/Rounds/Regions describe the parallel push schedule that ran;
-	// Regions is the worker-tile count (1 = serial schedule).
-	Pushes  int `json:"pushes,omitempty"`
-	Rounds  int `json:"rounds,omitempty"`
-	Regions int `json:"regions,omitempty"`
+	// Pushes/Rounds describe the push schedule that ran.
+	Pushes int `json:"pushes,omitempty"`
+	Rounds int `json:"rounds,omitempty"`
 	// Iterations counts full power-iteration sweeps (fallback or warm
 	// path); Updates is the path-independent node-score update total.
 	Iterations int `json:"iterations,omitempty"`
@@ -565,11 +563,9 @@ func (r *Registry) serveMutate(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	dec := json.NewDecoder(req.Body)
-	dec.UseNumber() // keep 64-bit keys exact; float64 round-trips corrupt them
 	var body MutateRequest
-	if err := dec.Decode(&body); err != nil {
-		writeError(w, errBadRequest("invalid JSON body: %v", err))
+	if err := decodeBody(w, req, &body); err != nil {
+		writeError(w, err)
 		return
 	}
 	// A bare {"rerank": true} is a supported batch: recompute global
@@ -626,13 +622,34 @@ func (r *Registry) serveMutate(w http.ResponseWriter, req *http.Request) {
 				Accelerated: st.Accelerated,
 				Pushes:      st.Pushes,
 				Rounds:      st.Rounds,
-				Regions:     st.Regions,
 				Iterations:  st.Iterations,
 				Updates:     st.Updates,
 			}
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// MaxBodyBytes caps every JSON request body a node or the router decodes:
+// tenant registrations, mutation batches and the router's admin bodies. A
+// larger registration or mutation is refused with 413 too_large before the
+// handler touches any state.
+const MaxBodyBytes = 1 << 20
+
+// decodeBody decodes req's JSON body into v, reading at most MaxBodyBytes.
+// Numbers decode as json.Number, keeping 64-bit keys exact (float64
+// round-trips corrupt them).
+func decodeBody(w http.ResponseWriter, req *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, MaxBodyBytes))
+	dec.UseNumber()
+	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return errTooLarge(fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+		}
+		return errBadRequest("invalid JSON body: %v", err)
+	}
+	return nil
 }
 
 // tupleFromJSON converts a JSON values array into a typed tuple under the

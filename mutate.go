@@ -118,10 +118,6 @@ type RerankStat struct {
 	// Rounds counts the synchronized residual rounds: frontier push rounds,
 	// or Chebyshev rounds for an accelerated repair.
 	Rounds int
-	// Regions reports the owner-tile worker count the residual repair was
-	// partitioned into (1 = serial; sized by GOMAXPROCS). Every region
-	// count produces bit-identical scores.
-	Regions int
 	// Accelerated records that the high-damping dense rescue (deflation +
 	// Chebyshev) ran after the push budget tripped; with FallbackTaken it
 	// means the rescue was also abandoned.
@@ -296,7 +292,6 @@ func (e *Engine) rerankLocked(result *MutationResult) (changed bool, err error) 
 		scores, raw, relMax, st, rerr := runSettings(e.settings, e.rawScores,
 			func(s Setting, opts rank.Options) (relational.DBScores, rank.Stats, error) {
 				opts.ResidualBudget = e.residualBudget
-				opts.Parallel = e.residualWorkers
 				if !e.residualAccel {
 					// Any threshold above 1 is unreachable by valid dampings,
 					// so high-damping runs budget-trip into the fallback.
@@ -342,7 +337,6 @@ func (e *Engine) rerankLocked(result *MutationResult) (changed bool, err error) 
 			Updates:         st.Updates,
 			FallbackTaken:   st.Fallback,
 			Rounds:          st.Rounds,
-			Regions:         st.Regions,
 			Accelerated:     st.Accelerated,
 		}
 	}

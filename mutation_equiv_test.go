@@ -14,18 +14,11 @@ package sizelos
 //  2. Warm≡cold: on re-ranked rounds, the warm-started power iteration
 //     lands on the same global-importance scores a cold start over a fresh
 //     graph produces, within fixed-point tolerance.
-//  3. Worker-count invariance: shadow engines pinned to 2, 4 and 7
-//     residual-push workers, driven through the identical batch stream,
-//     serve scores BIT-FOR-BIT identical to the serial (1-worker) primary
-//     on every re-ranked round — the determinism contract of the
-//     owner-tile parallel push (internal/rank/parallel.go). Exact float
-//     equality, no tolerance: the push's per-destination reduction order
-//     is fixed, so any divergence is a scheduling bug.
 //
 // Seeded and reproducible: the default seed is fixed; set
 // SIZELOS_EQUIV_SEED to replay a failure. CI runs the harness under -race
 // in its own workflow leg (mutation-proofs), which also exercises the
-// parallel push's phase barriers for races.
+// engine's concurrent per-setting re-ranks for races.
 
 import (
 	"os"
@@ -85,27 +78,9 @@ func toMutationBatch(b relational.Batch) MutationBatch {
 	return out
 }
 
-// equivWorkerCounts are the residual-push worker counts the shadow engines
-// pin; the primary runs serial. Includes a non-divisor of typical arena
-// sizes (7) so uneven trailing tiles are always exercised.
-var equivWorkerCounts = []int{2, 4, 7}
-
-// runEquivalence is the harness body shared by both datasets. mkShadow,
-// when non-nil, constructs one engine per equivWorkerCounts entry over an
-// identical database; each shadow is driven through the same batch stream
-// with its residual push pinned to that worker count and must serve
-// bit-identical scores to the serial primary on every re-ranked round.
-func runEquivalence(t *testing.T, eng *Engine, settings []Setting, seed int64, rounds int, mkShadow func() *Engine) {
+// runEquivalence is the harness body shared by every dataset.
+func runEquivalence(t *testing.T, eng *Engine, settings []Setting, seed int64, rounds int) {
 	t.Logf("mutation-equivalence seed %d (replay: SIZELOS_EQUIV_SEED=%d)", seed, seed)
-	var shadows []*Engine
-	if mkShadow != nil {
-		eng.residualWorkers = 1
-		for _, w := range equivWorkerCounts {
-			sh := mkShadow()
-			sh.residualWorkers = w
-			shadows = append(shadows, sh)
-		}
-	}
 	gen := mutgen.New(eng.DB(), seed)
 	graphRebuilds := 0
 	prevGraph := eng.Graph()
@@ -115,11 +90,6 @@ func runEquivalence(t *testing.T, eng *Engine, settings []Setting, seed int64, r
 		res, err := eng.Mutate(batch)
 		if err != nil {
 			t.Fatalf("round %d: Mutate(%d dels, %d ins): %v", round, len(batch.Deletes), len(batch.Inserts), err)
-		}
-		for si, sh := range shadows {
-			if _, err := sh.Mutate(batch); err != nil {
-				t.Fatalf("round %d: shadow(workers=%d) Mutate: %v", round, equivWorkerCounts[si], err)
-			}
 		}
 		if eng.Graph() != prevGraph {
 			// Only compaction or an overlay fold may swap the graph out.
@@ -190,35 +160,6 @@ func runEquivalence(t *testing.T, eng *Engine, settings []Setting, seed int64, r
 				}
 			}
 
-			// Invariant 3: every worker count serves BIT-IDENTICAL scores.
-			// Exact equality — the parallel push's fixed reduction order
-			// makes the serial and tiled schedules the same float program.
-			for si, sh := range shadows {
-				w := equivWorkerCounts[si]
-				for _, s := range settings {
-					serial, err := eng.Scores(s.Name)
-					if err != nil {
-						t.Fatalf("round %d: Scores(%s): %v", round, s.Name, err)
-					}
-					tiled, err := sh.Scores(s.Name)
-					if err != nil {
-						t.Fatalf("round %d: shadow(workers=%d) Scores(%s): %v", round, w, s.Name, err)
-					}
-					for _, rel := range eng.DB().Relations {
-						a, b := serial[rel.Name], tiled[rel.Name]
-						if len(a) != len(b) {
-							t.Fatalf("round %d: %s/%s: workers=1 has %d scores, workers=%d has %d",
-								round, s.Name, rel.Name, len(a), w, len(b))
-						}
-						for i := range a {
-							if a[i] != b[i] {
-								t.Fatalf("round %d (seed %d): %s/%s tuple %d: workers=1 %v vs workers=%d %v — parallel push is not bit-exact",
-									round, seed, s.Name, rel.Name, i, a[i], w, b[i])
-							}
-						}
-					}
-				}
-			}
 		}
 	}
 	t.Logf("%d rounds, %d graph swaps (compactions/folds), final nodes %d, overlay %d",
@@ -226,39 +167,31 @@ func runEquivalence(t *testing.T, eng *Engine, settings []Setting, seed int64, r
 }
 
 // TestMutationEquivalenceDBLP runs the harness over the DBLP-shaped
-// database with the paper's four ObjectRank settings, shadowed at every
-// residual-push worker count.
+// database with the paper's four ObjectRank settings.
 func TestMutationEquivalenceDBLP(t *testing.T) {
-	mk := func() *Engine {
-		cfg := datagen.DefaultDBLPConfig()
-		cfg.Authors = 80
-		cfg.Papers = 260
-		cfg.Conferences = 6
-		cfg.YearSpan = 4
-		eng, err := OpenDBLP(cfg)
-		if err != nil {
-			t.Fatalf("OpenDBLP: %v", err)
-		}
-		return eng
+	cfg := datagen.DefaultDBLPConfig()
+	cfg.Authors = 80
+	cfg.Papers = 260
+	cfg.Conferences = 6
+	cfg.YearSpan = 4
+	eng, err := OpenDBLP(cfg)
+	if err != nil {
+		t.Fatalf("OpenDBLP: %v", err)
 	}
-	runEquivalence(t, mk(), DefaultSettings(datagen.DBLPGA1(), datagen.DBLPGA2()), equivSeed(t), equivRounds, mk)
+	runEquivalence(t, eng, DefaultSettings(datagen.DBLPGA1(), datagen.DBLPGA2()), equivSeed(t), equivRounds)
 }
 
 // TestMutationEquivalenceTPCH runs the harness over the TPC-H-shaped
 // database, whose GA1 is value-weighted (ValueRank) — the warm≡cold check
-// therefore also covers value-proportional split recompilation — likewise
-// shadowed at every residual-push worker count.
+// therefore also covers value-proportional split recompilation.
 func TestMutationEquivalenceTPCH(t *testing.T) {
-	mk := func() *Engine {
-		cfg := datagen.DefaultTPCHConfig()
-		cfg.ScaleFactor = 0.002
-		eng, err := OpenTPCH(cfg)
-		if err != nil {
-			t.Fatalf("OpenTPCH: %v", err)
-		}
-		return eng
+	cfg := datagen.DefaultTPCHConfig()
+	cfg.ScaleFactor = 0.002
+	eng, err := OpenTPCH(cfg)
+	if err != nil {
+		t.Fatalf("OpenTPCH: %v", err)
 	}
-	runEquivalence(t, mk(), DefaultSettings(datagen.TPCHGA1(), datagen.TPCHGA2()), equivSeed(t)+1, equivRounds, mk)
+	runEquivalence(t, eng, DefaultSettings(datagen.TPCHGA1(), datagen.TPCHGA2()), equivSeed(t)+1, equivRounds)
 }
 
 // TestMutationEquivalenceUnderCompaction rides the same harness with an
@@ -278,7 +211,7 @@ func TestMutationEquivalenceUnderCompaction(t *testing.T) {
 	eng.compactMin, eng.compactRatio = 6, 0.01
 	eng.EnableSummaryCache(64)
 	seed := equivSeed(t) + 2
-	runEquivalence(t, eng, DefaultSettings(datagen.DBLPGA1(), datagen.DBLPGA2()), seed, equivRounds, nil)
+	runEquivalence(t, eng, DefaultSettings(datagen.DBLPGA1(), datagen.DBLPGA2()), seed, equivRounds)
 	// The pipeline still serves correct summaries after all that churn.
 	if _, _, _, err := eng.QueryPage(QueryRequest{Rel: "Author", Query: "Faloutsos", L: 5}); err != nil {
 		t.Fatalf("post-harness search: %v", err)

@@ -1,7 +1,7 @@
 package sizelos
 
-// Serial-vs-parallel equivalence of the multicore hot paths: the rank
-// engine's worker pool must reproduce the serial scores bit for bit on the
+// Equivalence of the engine's execution paths: compiled rank plans run per
+// damping must reproduce the one-shot Compute scores bit for bit on the
 // real DBLP and TPC-H fixtures under all four evaluation settings, and the
 // Search worker pool must return byte-identical summaries in the same
 // order at every pool size. CI runs this file under -race.
@@ -51,11 +51,10 @@ func rankFixtures(t *testing.T) map[string]struct {
 	}
 }
 
-// TestRankSerialParallelEquivalence checks, per dataset and per setting,
-// that a forced-parallel run reproduces the forced-serial scores exactly,
-// and that compiling once and running per damping matches the one-shot
-// Compute path.
-func TestRankSerialParallelEquivalence(t *testing.T) {
+// TestRankCompiledPlansMatchCompute checks, per dataset and per setting,
+// that compiling each G_A once and running it per damping — the engine's
+// path — reproduces the one-shot Compute scores and stats exactly.
+func TestRankCompiledPlansMatchCompute(t *testing.T) {
 	for name, fx := range rankFixtures(t) {
 		t.Run(name, func(t *testing.T) {
 			plansByGA := make(map[*rank.GA]*rank.Plans)
@@ -63,13 +62,12 @@ func TestRankSerialParallelEquivalence(t *testing.T) {
 				t.Run(s.Name, func(t *testing.T) {
 					opts := rank.DefaultOptions()
 					opts.Damping = s.Damping
-					opts.Parallel = 1
 					want, wantStats, err := rank.Compute(fx.g, s.GA, opts)
 					if err != nil {
-						t.Fatalf("serial Compute: %v", err)
+						t.Fatalf("Compute: %v", err)
 					}
 					if !wantStats.Converged {
-						t.Fatalf("serial run did not converge: %+v", wantStats)
+						t.Fatalf("Compute did not converge: %+v", wantStats)
 					}
 					plans, ok := plansByGA[s.GA]
 					if !ok {
@@ -79,17 +77,14 @@ func TestRankSerialParallelEquivalence(t *testing.T) {
 						}
 						plansByGA[s.GA] = plans
 					}
-					for _, workers := range []int{2, 4, 8} {
-						opts.Parallel = workers
-						got, gotStats, err := plans.Run(opts)
-						if err != nil {
-							t.Fatalf("Run(workers=%d): %v", workers, err)
-						}
-						if gotStats != wantStats {
-							t.Errorf("workers=%d: stats %+v vs %+v", workers, gotStats, wantStats)
-						}
-						assertScoresIdentical(t, s.Name, got, want)
+					got, gotStats, err := plans.Run(opts)
+					if err != nil {
+						t.Fatalf("Run: %v", err)
 					}
+					if gotStats != wantStats {
+						t.Errorf("stats %+v vs %+v", gotStats, wantStats)
+					}
+					assertScoresIdentical(t, s.Name, got, want)
 				})
 			}
 		})

@@ -529,82 +529,3 @@ func TestRerankOnlyBatchReusesConvergedScores(t *testing.T) {
 		t.Fatal("real re-rank did not advance epochs")
 	}
 }
-
-// BenchmarkRerankResidualParallel measures the owner-tiled parallel
-// residual push against the serial schedule over a batch stream wide
-// enough to actually engage the tiling: single-tuple streams stay below
-// the serial-frontier cutover by design, so this family drives
-// ~150-citation batches whose frontiers force multi-region rounds. The
-// two variants are the same float program — bit-identical scores, equal
-// updates/op (reported) — so the gated ns/op difference is pure
-// scheduling: overhead on a 1-core box, speedup on the 4-core CI runner
-// (TestResidualPushSpeedupMulticore asserts the >=2x bar).
-func BenchmarkRerankResidualParallel(b *testing.B) {
-	const batchSize = 150
-	run := func(workers int) func(b *testing.B) {
-		return func(b *testing.B) {
-			cfg := datagen.DefaultDBLPConfig()
-			cfg.Authors = 300
-			cfg.Papers = 1200
-			db, err := datagen.GenerateDBLP(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			next := int64(50_000_000)
-			settings := []Setting{
-				{Name: "GA1-d1", GA: datagen.DBLPGA1(), Damping: 0.85},
-			}
-			eng, err := NewEngine(db, settings)
-			if err != nil {
-				b.Fatal(err)
-			}
-			eng.residualWorkers = workers
-			paper := db.Relation("Paper")
-			var prev []int64
-			updates := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				batch := MutationBatch{Rerank: true}
-				for _, pk := range prev {
-					batch.Deletes = append(batch.Deletes, TupleDelete{Rel: "Cites", PK: pk})
-				}
-				prev = prev[:0]
-				for j := 0; j < batchSize; j++ {
-					next++
-					k := i*batchSize + j
-					batch.Inserts = append(batch.Inserts, TupleInsert{
-						Rel: "Cites",
-						Tuple: relational.Tuple{
-							relational.IntVal(next),
-							relational.IntVal(paper.PK(relational.TupleID(k % 1200))),
-							relational.IntVal(paper.PK(relational.TupleID((k*7 + 13) % 1200))),
-						},
-					})
-					prev = append(prev, next)
-				}
-				res, err := eng.Mutate(batch)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, st := range res.RerankStats {
-					if st.FallbackTaken {
-						b.Fatalf("batch %d fell back to the full iteration — the family no longer measures the push", i)
-					}
-					if !st.Residual {
-						// The engine's scheduled re-grounding (every
-						// residualRefreshInterval-th re-rank); both variants
-						// pay it identically, so it can't skew the gate.
-						continue
-					}
-					if st.Regions != workers {
-						b.Fatalf("batch %d ran %d regions at %d workers — tiling did not engage", i, st.Regions, workers)
-					}
-					updates += st.Updates
-				}
-			}
-			b.ReportMetric(float64(updates)/float64(b.N), "updates/op")
-		}
-	}
-	b.Run("workers-1", run(1))
-	b.Run("workers-4", run(4))
-}
