@@ -402,6 +402,39 @@ func BenchmarkEndToEndSearch(b *testing.B) {
 	})
 }
 
+// BenchmarkRankedQuery times the combined top-k × size-l ranking
+// (RankBySummary) cold: K=10 over every DBLP paper matching one title word,
+// a fresh summary cache per query and the size-l algorithm rotating across
+// iterations. Every candidate is selected; only the K winners are rendered
+// (rendered/op).
+func BenchmarkRankedQuery(b *testing.B) {
+	e := getEnv(b)
+	defer e.dblp.EnableSummaryCache(0)
+	algos := []sizelos.Algorithm{sizelos.AlgoTopPath, sizelos.AlgoBottomUp, sizelos.AlgoDP}
+	var summaries, rendered int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e.dblp.EnableSummaryCache(1024)
+		b.StartTimer()
+		sums, _, stats, err := e.dblp.QueryPage(sizelos.QueryRequest{
+			Rel: "Paper", Query: "Mining", L: 10, Algorithm: algos[i%len(algos)],
+			RankBySummary: true, K: 10,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(sums) != 10 || stats.Matches < 100 {
+			b.Fatalf("ranked %d of %d matches", len(sums), stats.Matches)
+		}
+		summaries += stats.Summaries
+		rendered += stats.Rendered
+	}
+	b.ReportMetric(float64(summaries)/float64(b.N), "summaries/op")
+	b.ReportMetric(float64(rendered)/float64(b.N), "rendered/op")
+}
+
 // BenchmarkIndexBuild times keyword-index construction over the DBLP
 // corpus: the serial flat layout (one shard, one tokenizer worker) vs the
 // sharded parallel build at fixed and CPU-sized shard counts. The

@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"sizelos/internal/router"
+	"sizelos/internal/tenancy"
 )
 
 type memberFlags []router.Member
@@ -104,7 +105,7 @@ func main() {
 	}
 	log.Printf("osrouter: listening on %s — routing over %d member(s), %d healthy", ln.Addr(), len(members), healthy)
 
-	srv := &http.Server{Handler: rt}
+	srv := tenancy.NewServer(rt)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 

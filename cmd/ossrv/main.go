@@ -187,7 +187,7 @@ func main() {
 	log.Printf("ossrv: listening on %s — serving %d tenant(s) (shared pool size %d, %s)",
 		ln.Addr(), len(reg.Names()), reg.Pool().Stats().Size, durability)
 
-	srv := &http.Server{Handler: node.Handler()}
+	srv := tenancy.NewServer(node.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 

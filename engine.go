@@ -654,11 +654,17 @@ type Summary struct {
 	Tree *ostree.Tree
 	// Text is the rendered size-l OS in the style of Example 5.
 	Text string
+
+	// unrendered marks a selection without Text: ranked queries cache
+	// every candidate's selection but render only the winners. Only the
+	// summary cache ever holds such an entry; every served Summary has Text.
+	unrendered bool
 }
 
 // summarizeSliceLocked computes one size-l summary per keyword match across
 // a bounded worker pool, writing each result into its match's slot so
-// output order is independent of scheduling. Matches must already be
+// output order is independent of scheduling. The summaries may be
+// selections without Text (see renderSliceLocked). Matches must already be
 // validated live (classifySubject); callers hold at least the read lock.
 func (e *Engine) summarizeSliceLocked(dsRel string, matches []keyword.Match, l int, opts SearchOptions) ([]Summary, error) {
 	out := make([]Summary, len(matches))
@@ -702,6 +708,44 @@ func (e *Engine) summarizeSliceLocked(dsRel string, matches []keyword.Match, l i
 		return nil, err
 	}
 	return out, nil
+}
+
+// renderSliceLocked renders, across the same bounded worker pool, every
+// summary in sums that is still a selection without Text, and returns how
+// many it rendered. Summaries served from cache with their text are left
+// as they are. Callers hold at least the read lock.
+func (e *Engine) renderSliceLocked(dsRel string, sums []Summary, l int, opts SearchOptions) int {
+	todo := 0
+	for i := range sums {
+		if sums[i].unrendered {
+			todo++
+		}
+	}
+	if todo == 0 {
+		return 0
+	}
+	// renderLocked cannot fail, so neither can ForEach.
+	_ = searchexec.ForEach(len(sums), opts.Parallel, func(i int) error {
+		if sums[i].unrendered {
+			sums[i] = e.renderLocked(sums[i], opts, e.summaryKeyFor(dsRel, sums[i].Tuple, l, opts))
+		}
+		return nil
+	})
+	return todo
+}
+
+// renderLocked fills in the Text of a selection and swaps the rendered
+// summary into its cache entry in place, so later hits serve the text
+// without rendering again while the cache's recency order and counters
+// stay exactly as the selection left them. Callers hold at least the read
+// lock.
+func (e *Engine) renderLocked(s Summary, opts SearchOptions, key summaryKey) Summary {
+	s.Text = s.Tree.Render(ostree.RenderOptions{Keep: s.Result.Nodes, ShowWeights: opts.ShowWeights})
+	s.unrendered = false
+	if cache := e.cache.Load(); cache != nil {
+		cache.Replace(key, s)
+	}
+	return s
 }
 
 // summaryKey identifies one memoizable size-l computation: every
@@ -814,6 +858,9 @@ func (e *Engine) SizeL(dsRel string, tuple relational.TupleID, l int, opts Searc
 	key := e.summaryKeyFor(dsRel, tuple, l, opts)
 	if cache := e.cache.Load(); cache != nil {
 		if s, ok := cache.Get(key); ok {
+			if s.unrendered {
+				s = e.renderLocked(s, opts, key)
+			}
 			return s, nil
 		}
 	}
@@ -823,12 +870,17 @@ func (e *Engine) SizeL(dsRel string, tuple relational.TupleID, l int, opts Searc
 	opts.Pool.Do(func() {
 		s, err = e.computeSummary(dsRel, tuple, l, opts, key)
 	})
-	return s, err
+	if err != nil {
+		return Summary{}, err
+	}
+	return e.renderLocked(s, opts, key), nil
 }
 
-// computeSummary generates, selects and renders one size-l OS, then
-// memoizes it under key. Callers have already validated the subject,
-// filled opts, and missed the cache (the single counted probe).
+// computeSummary generates one OS and selects its size-l subset, then
+// memoizes the selection, still without Text, under key: rendering is
+// renderLocked's job, done only for summaries that are served. Callers have
+// already validated the subject, filled opts, and missed the cache (the
+// single counted probe).
 func (e *Engine) computeSummary(dsRel string, tuple relational.TupleID, l int, opts SearchOptions, key summaryKey) (Summary, error) {
 	sc, err := e.scoresLocked(opts.Setting)
 	if err != nil {
@@ -870,14 +922,13 @@ func (e *Engine) computeSummary(dsRel string, tuple relational.TupleID, l int, o
 		return Summary{}, err
 	}
 
-	text := tree.Render(ostree.RenderOptions{Keep: res.Nodes, ShowWeights: opts.ShowWeights})
 	sum := Summary{
-		DSRel:    dsRel,
-		Tuple:    tuple,
-		Headline: headline(e.db, dsRel, tuple),
-		Result:   res,
-		Tree:     tree,
-		Text:     text,
+		DSRel:      dsRel,
+		Tuple:      tuple,
+		Headline:   headline(e.db, dsRel, tuple),
+		Result:     res,
+		Tree:       tree,
+		unrendered: true,
 	}
 	if cache := e.cache.Load(); cache != nil {
 		cache.Put(key, sum)

@@ -22,8 +22,10 @@ import (
 // served request pays — it must stay a rounding error next to the query
 // itself), and the scale-out front door (one query through the
 // consistent-hash router and its reverse proxy to an owner node — gating
-// it next to EndToEndSearch keeps the routing tier's tax visible).
-const GateFamilies = "RankCompute|RankCompile|NewEngine|EndToEndSearch|DataGraphBuild|IndexBuild|MutateIncremental|RerankResidual|WALAppend|RecoveryReplay|QueryStream|QueryDrain|AdmissionOverhead|RoutedQuery"
+// it next to EndToEndSearch keeps the routing tier's tax visible), and the
+// cold combined top-k × size-l ranking (RankBySummary: every candidate
+// selected, only the K winners rendered).
+const GateFamilies = "RankCompute|RankCompile|NewEngine|EndToEndSearch|DataGraphBuild|IndexBuild|MutateIncremental|RerankResidual|WALAppend|RecoveryReplay|QueryStream|QueryDrain|AdmissionOverhead|RoutedQuery|RankedQuery"
 
 // ArchiveFamilies is the default benchjson archive set: every gated family
 // plus the Fig-10 paper-figure benches (measured for the trajectory but

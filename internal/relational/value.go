@@ -54,15 +54,24 @@ func StrVal(v string) Value { return Value{Kind: KindString, Str: v} }
 
 // String renders the value for OS output (Examples 4 and 5 in the paper).
 func (v Value) String() string {
+	if v.Kind == KindString {
+		return v.Str
+	}
+	var b [32]byte
+	return string(v.Append(b[:0]))
+}
+
+// Append appends the String form of the value to b.
+func (v Value) Append(b []byte) []byte {
 	switch v.Kind {
 	case KindInt:
-		return strconv.FormatInt(v.Int, 10)
+		return strconv.AppendInt(b, v.Int, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.Float, 'f', 2, 64)
+		return strconv.AppendFloat(b, v.Float, 'f', 2, 64)
 	case KindString:
-		return v.Str
+		return append(b, v.Str...)
 	default:
-		return "?"
+		return append(b, '?')
 	}
 }
 

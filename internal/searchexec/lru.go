@@ -95,6 +95,17 @@ func (c *LRU[K, V]) Put(key K, val V) {
 	c.items[key] = c.ll.PushFront(&lruEntry[K, V]{key: key, val: val})
 }
 
+// Replace swaps the value of a cached key in place, without touching the
+// hit/miss counters or the recency order. A key that is not cached (never
+// was, or was evicted) stays uncached.
+func (c *LRU[K, V]) Replace(key K, val V) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		el.Value.(*lruEntry[K, V]).val = val
+	}
+}
+
 // Len returns the current entry count.
 func (c *LRU[K, V]) Len() int {
 	c.mu.Lock()

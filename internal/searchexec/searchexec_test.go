@@ -145,6 +145,27 @@ func TestLRUPutRefreshesExisting(t *testing.T) {
 	}
 }
 
+func TestLRUReplaceKeepsOrderAndCounters(t *testing.T) {
+	c := NewLRU[string, int](2)
+	c.Put("a", 1)
+	c.Put("b", 2)
+	c.Replace("a", 10) // in place: a stays least recently used
+	c.Replace("z", 26) // not cached: nothing stored, nothing evicted
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 || st.Len != 2 {
+		t.Fatalf("stats after Replace = %+v, want no lookups and len 2", st)
+	}
+	if v, ok := c.Peek("a"); !ok || v != 10 {
+		t.Fatalf("Peek(a) = %d,%v, want 10,true", v, ok)
+	}
+	c.Put("c", 3) // evicts a, the least recently used
+	if _, ok := c.Peek("a"); ok {
+		t.Error("Replace refreshed a's recency")
+	}
+	if _, ok := c.Peek("z"); ok {
+		t.Error("Replace inserted an uncached key")
+	}
+}
+
 func TestLRUMinimumCapacity(t *testing.T) {
 	c := NewLRU[int, int](0)
 	c.Put(1, 1)

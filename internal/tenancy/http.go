@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"time"
 
 	"sizelos"
 	"sizelos/internal/relational"
@@ -635,6 +636,22 @@ func (r *Registry) serveMutate(w http.ResponseWriter, req *http.Request) {
 // larger registration or mutation is refused with 413 too_large before the
 // handler touches any state.
 const MaxBodyBytes = 1 << 20
+
+// The connection timeouts of every node and router listener (NewServer).
+// ReadHeaderTimeout bounds how long a client may take to send its request
+// header: without it a client that stalls mid-header holds a connection
+// and its goroutine forever. IdleTimeout closes keep-alive connections
+// that carry no request for that long.
+const (
+	ReadHeaderTimeout = 10 * time.Second
+	IdleTimeout       = 2 * time.Minute
+)
+
+// NewServer returns the http.Server a node (cmd/ossrv) or the router
+// (cmd/osrouter) serves h with, carrying the shared connection timeouts.
+func NewServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
+}
 
 // decodeBody decodes req's JSON body into v, reading at most MaxBodyBytes.
 // Numbers decode as json.Number, keeping 64-bit keys exact (float64

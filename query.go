@@ -51,8 +51,9 @@ type QueryRequest struct {
 	// size-l OS instead of serving them in DS global-importance order: the
 	// combined size-l and top-k ranking of OSs the paper leaves as future
 	// work (§7), under which a DS whose neighborhood is important outranks a
-	// well-connected but shallow one. It must materialize every summary
-	// before the first result, so it cannot terminate early.
+	// well-connected but shallow one. It must select every candidate's
+	// size-l OS before the first result, so it cannot terminate early, but
+	// it renders the text of only the K winners.
 	RankBySummary bool
 	// K, with RankBySummary, caps the ranking to the best K summaries
 	// (0 = rank everything). It bounds the result set, not the page: use
@@ -160,6 +161,11 @@ type QueryStats struct {
 	// Summaries is how many size-l summaries this Results produced
 	// (computed or served from cache).
 	Summaries int
+	// Rendered is how many of those summaries' text this Results rendered:
+	// summaries served from cache with their text count in Summaries only,
+	// and a RankBySummary query renders at most its K winners however many
+	// candidates it ranks.
+	Rendered int
 	// Skipped counts matches dropped because their DS tuple was tombstoned
 	// between indexing and serving; the stream backfills from the next
 	// rank instead of failing the query.
@@ -196,8 +202,8 @@ type Results struct {
 	popped int
 	served int
 
-	// Ranked mode (RankBySummary): the fully materialized, sorted,
-	// K-truncated summaries and the serve offset.
+	// Ranked mode (RankBySummary): the sorted, K-truncated, rendered
+	// summaries and the serve offset.
 	rankMode    bool
 	rankedBuilt bool
 	ranked      []Summary
@@ -393,13 +399,15 @@ func (r *Results) fillLocked() error {
 	}
 	r.buf, r.bufConsumed, r.bufPos = sums, consumedAt, 0
 	r.stats.Summaries += len(sums)
+	r.stats.Rendered += e.renderSliceLocked(r.req.Rel, sums, r.req.L, r.opts)
 	return nil
 }
 
-// nextRanked serves from the materialized Im(S) ranking, building it on
-// first pull. Ranking by summary importance requires every candidate's
-// summary up front — early termination structurally cannot apply — but
-// paging through the ranked list stays lazy and cursor-resumable.
+// nextRanked serves from the Im(S) ranking, building it on first pull.
+// Ranking by summary importance requires every candidate's size-l
+// selection up front — early termination structurally cannot apply — but
+// only the K winners are rendered, and paging through the ranked list
+// stays lazy and cursor-resumable.
 func (r *Results) nextRanked() (Summary, bool) {
 	if !r.rankedBuilt {
 		if err := r.buildRanked(); err != nil {
@@ -443,6 +451,8 @@ func (r *Results) buildRanked() error {
 		}
 		matches = append(matches, m)
 	}
+	// Select every candidate but render only the winners: Im(S) decides
+	// the ranking, and the text of a candidate cut below K is never read.
 	sums, err := e.summarizeSliceLocked(r.req.Rel, matches, r.req.L, r.opts)
 	if err != nil {
 		return err
@@ -457,6 +467,7 @@ func (r *Results) buildRanked() error {
 	if r.req.K > 0 && len(sums) > r.req.K {
 		sums = sums[:r.req.K]
 	}
+	r.stats.Rendered = e.renderSliceLocked(r.req.Rel, sums, r.req.L, r.opts)
 	r.ranked = sums
 	r.rankedPos = r.resumeConsumed
 	if r.rankedPos > len(r.ranked) {
